@@ -7,15 +7,17 @@
 //! changes per-server load (Figure 5's observation).
 
 use crate::client::ClientSubmission;
+use crate::engine::recipients;
 use crate::messages::{pack_decisions, ServerMsg};
+use crate::phase::{Phase, PhaseClock, PhaseTimings};
 use crate::server::{Server, ServerConfig};
 use prio_afe::Afe;
+use prio_crypto::prg::PrgRng;
 use prio_field::FieldElement;
 use prio_net::wire::Wire;
-use prio_crypto::prg::PrgRng;
-use prio_obs::Span;
 use prio_snip::{decide, HForm, VerifierContext, VerifyMode};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Domain-separation label for the cluster's context-seed stream
 /// (ASCII "PRIO cls"), distinct from `Server`'s per-context
@@ -23,65 +25,13 @@ use rand::Rng;
 /// collide even under equal seeds.
 const CLUSTER_CTX_SEED_LABEL: u64 = 0x5052_494f_2063_6c73;
 
-/// Wall-clock time the cluster has spent in each verification phase,
-/// accumulated across `process` calls. This is the per-phase breakdown
-/// behind the Figure-5 cost curves: `unpack` is dominated by PRG share
-/// expansion, `round1` by the circuit re-evaluation and polynomial work,
-/// `round2` by the Beaver-triple finish and decision.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct PhaseTimings {
-    /// Blob parsing + PRG expansion into `(x, π)` shares.
-    pub unpack: std::time::Duration,
-    /// SNIP round 1 (wire re-derivation, `f·g·h` evaluations).
-    pub round1: std::time::Duration,
-    /// SNIP round 2 + decision.
-    pub round2: std::time::Duration,
-    /// Accumulator reveal (the publish phase). Filled by the server loop;
-    /// the single-threaded cluster's `aggregate` is a read-only fold that
-    /// reports into the publish histogram instead.
-    pub publish: std::time::Duration,
-    /// Submissions these totals cover.
-    pub submissions: u64,
-}
-
-impl PhaseTimings {
-    /// Total *verification* time: unpack + round 1 + round 2. Publish is
-    /// deliberately excluded — it reveals the already-verified aggregate
-    /// and is not part of the Figure-5 per-submission cost.
-    pub fn total(&self) -> std::time::Duration {
-        self.unpack + self.round1 + self.round2
-    }
-}
-
-/// The cluster's span targets: the same `server_phase_us` histograms the
-/// server loop feeds, so per-phase latency has one exposition regardless
-/// of which execution flavour ran the protocol. [`Cluster::timings`] is
-/// rebased on these spans — each phase is clocked once, by the span, and
-/// the same measurement lands in both the histogram and the
-/// [`PhaseTimings`] accumulator.
-struct ClusterPhases {
-    unpack: prio_obs::Histogram,
-    round1: prio_obs::Histogram,
-    round2: prio_obs::Histogram,
-    publish: prio_obs::Histogram,
-}
-
-impl ClusterPhases {
-    fn resolve() -> ClusterPhases {
-        let reg = prio_obs::Registry::global();
-        ClusterPhases {
-            unpack: reg.histogram(prio_obs::names::SERVER_PHASE_US, &[("phase", "unpack")]),
-            round1: reg.histogram(prio_obs::names::SERVER_PHASE_US, &[("phase", "round1")]),
-            round2: reg.histogram(prio_obs::names::SERVER_PHASE_US, &[("phase", "round2")]),
-            publish: reg.histogram(prio_obs::names::SERVER_PHASE_US, &[("phase", "publish")]),
-        }
-    }
-}
-
 /// A simulated `s`-server Prio cluster.
 pub struct Cluster<F: FieldElement, A: Afe<F>> {
     servers: Vec<Server<F, A>>,
     ctx: Option<VerifierContext<F>>,
+    /// The seed `ctx` was derived from: the batch identity the engines'
+    /// round messages carry.
+    ctx_seed: u64,
     processed_in_batch: usize,
     /// Submissions per verification context (the paper's `Q ≈ 2^10`).
     batch_size: usize,
@@ -90,8 +40,10 @@ pub struct Cluster<F: FieldElement, A: Afe<F>> {
     ctx_rng: PrgRng,
     /// Verification bytes each server has *sent*.
     sent_bytes: Vec<u64>,
-    timings: PhaseTimings,
-    phases: ClusterPhases,
+    /// Feeds the same `server_phase_us` histograms the server loop does,
+    /// so per-phase latency has one exposition regardless of which driver
+    /// ran the protocol.
+    clock: PhaseClock,
 }
 
 impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
@@ -126,13 +78,13 @@ impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
         Cluster {
             servers,
             ctx: None,
+            ctx_seed: 0,
             processed_in_batch: 0,
             batch_size,
             verify_threads: 1,
             ctx_rng: PrgRng::from_u64_seed(0x5052_494f, CLUSTER_CTX_SEED_LABEL),
             sent_bytes: vec![0; num_servers],
-            timings: PhaseTimings::default(),
-            phases: ClusterPhases::resolve(),
+            clock: PhaseClock::new(prio_obs::Registry::global(), None, 0),
         }
     }
 
@@ -150,127 +102,119 @@ impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
 
     fn refresh_context_if_needed(&mut self) {
         if self.ctx.is_none() || self.processed_in_batch >= self.batch_size {
-            let seed: u64 = self.ctx_rng.random();
+            self.ctx_seed = self.ctx_rng.random();
             self.ctx = Some(
                 self.servers[0]
-                    .make_context(seed)
+                    .make_context(self.ctx_seed)
                     .expect("cluster config validated at construction"),
             );
             self.processed_in_batch = 0;
         }
     }
 
+    fn reject_everywhere(&mut self) -> bool {
+        for server in &mut self.servers {
+            server.reject();
+        }
+        false
+    }
+
     /// Processes one client submission through the full pipeline:
     /// unpack → SNIP verify (with byte accounting) → accumulate/reject.
     /// Returns whether the submission was accepted.
+    ///
+    /// This per-submission path calls [`Server::round1`]/[`Server::round2`]
+    /// directly and is deliberately *not* routed through the batch
+    /// engine: it is the independent reference the batched path is held
+    /// to.
     pub fn process(&mut self, sub: &ClientSubmission<F>) -> bool {
         let s = self.servers.len();
         assert_eq!(sub.blobs.len(), s, "one blob per server");
         self.refresh_context_if_needed();
         self.processed_in_batch += 1;
-        self.timings.submissions += 1;
+        self.clock.add_submissions(1);
         let ctx = self.ctx.as_ref().expect("context refreshed");
+        let servers = &self.servers;
 
         // Unpack. A structurally malformed blob is rejected outright (the
         // servers can detect this locally; no protocol needed).
-        let span = Span::start(&self.phases.unpack);
-        let mut unpacked = Vec::with_capacity(s);
-        for (i, blob) in sub.blobs.iter().enumerate() {
-            match self.servers[i].unpack(blob, sub.prg_label) {
-                Ok(pair) => unpacked.push(pair),
-                Err(_) => {
-                    self.timings.unpack += span.finish();
-                    for server in &mut self.servers {
-                        server.reject();
-                    }
-                    return false;
-                }
-            }
-        }
-        self.timings.unpack += span.finish();
+        let (unpacked, _) = self.clock.time(Phase::Unpack, 0, 0, || {
+            servers
+                .iter()
+                .zip(&sub.blobs)
+                .map(|(server, blob)| server.unpack(blob, sub.prg_label).ok())
+                .collect::<Option<Vec<_>>>()
+        });
+        let Some(unpacked) = unpacked else {
+            return self.reject_everywhere();
+        };
 
         // Round 1 at every server.
-        let span = Span::start(&self.phases.round1);
-        let mut states = Vec::with_capacity(s);
-        let mut round1 = Vec::with_capacity(s);
-        for (i, (x, proof)) in unpacked.iter().enumerate() {
-            match self.servers[i].round1(ctx, x, proof) {
-                Ok((st, msg)) => {
-                    states.push(st);
-                    round1.push(msg);
-                }
-                Err(_) => {
-                    self.timings.round1 += span.finish();
-                    for server in &mut self.servers {
-                        server.reject();
-                    }
-                    return false;
-                }
-            }
-        }
-        self.timings.round1 += span.finish();
+        let (round1, _) = self.clock.time(Phase::Round1, 0, 0, || {
+            servers
+                .iter()
+                .zip(&unpacked)
+                .map(|(server, (x, proof))| server.round1(ctx, x, proof).ok())
+                .collect::<Option<Vec<_>>>()
+        });
+        let Some(round1) = round1 else {
+            return self.reject_everywhere();
+        };
+        let (states, round1): (Vec<_>, Vec<_>) = round1.into_iter().unzip();
 
         // Byte accounting, leader-star topology:
         // non-leader i → leader: Round1([m_i]); leader → each non-leader:
         // Round1Combined([Σm]); non-leader → leader: Round2; leader → all:
         // Decisions.
-        let r1_size = ServerMsg::Round1 {
+        let size = |msg: ServerMsg<F>| msg.to_wire_bytes().len() as u64;
+        let r1_size = size(ServerMsg::Round1 {
             ctx: 0,
             msgs: vec![round1[1]],
-        }
-        .to_wire_bytes()
-        .len() as u64;
+        });
         let combined = vec![prio_snip::Round1Msg {
             d: round1.iter().map(|m| m.d).sum(),
             e: round1.iter().map(|m| m.e).sum(),
         }];
-        let comb_size = ServerMsg::Round1Combined {
+        let comb_size = size(ServerMsg::Round1Combined {
             ctx: 0,
             msgs: combined.clone(),
-        }
-        .to_wire_bytes()
-        .len() as u64;
-        let span = Span::start(&self.phases.round2);
-        let round2: Vec<_> = (0..s)
-            .map(|i| self.servers[i].round2(&states[i], &combined))
-            .collect();
-        let r2_size = ServerMsg::Round2 {
+        });
+        let ((round2, accepted), _) = self.clock.time(Phase::Round2, 0, 0, || {
+            let round2: Vec<_> = servers
+                .iter()
+                .zip(&states)
+                .map(|(server, state)| server.round2(state, &combined))
+                .collect();
+            let accepted = decide(&round2);
+            (round2, accepted)
+        });
+        let r2_size = size(ServerMsg::Round2 {
             ctx: 0,
             msgs: vec![round2[1]],
-        }
-        .to_wire_bytes()
-        .len() as u64;
-        let accepted = decide(&round2);
-        self.timings.round2 += span.finish();
-        let dec_size = ServerMsg::<F>::Decisions {
+        });
+        let dec_size = size(ServerMsg::Decisions {
             ctx: 0,
             bits: pack_decisions(&[accepted]),
-        }
-        .to_wire_bytes()
-        .len() as u64;
+        });
         for i in 1..s {
             self.sent_bytes[i] += r1_size + r2_size;
         }
         self.sent_bytes[0] += (comb_size + dec_size) * (s as u64 - 1);
 
-        if accepted {
-            for (i, (x, _)) in unpacked.iter().enumerate() {
-                self.servers[i].accumulate(x);
-            }
-        } else {
-            for server in &mut self.servers {
-                server.reject();
-            }
+        if !accepted {
+            return self.reject_everywhere();
         }
-        accepted
+        for (server, (x, _)) in self.servers.iter_mut().zip(&unpacked) {
+            server.accumulate(x);
+        }
+        true
     }
 
     /// Processes a whole batch of submissions through the batched pipeline:
-    /// one verification context per `batch_size` chunk, scratch-reusing
-    /// round-1 workers (`verify_threads` per server via
-    /// [`Cluster::with_verify_threads`]), batched round 2, and a
-    /// deterministic submission-order merge of decisions and accumulator
-    /// updates.
+    /// one verification context per `batch_size` chunk, and per chunk one
+    /// [`BatchEngine`](crate::engine::BatchEngine) per server — the same
+    /// state machine the deployed server loop drives — with this thread
+    /// standing in for the network.
     ///
     /// Decisions, accumulators, and accept/reject counters are
     /// bit-identical to feeding the same submissions one at a time through
@@ -289,200 +233,82 @@ impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
         while idx < subs.len() {
             self.refresh_context_if_needed();
             let take = (self.batch_size - self.processed_in_batch).min(subs.len() - idx);
-            let chunk = &subs[idx..idx + take];
             self.processed_in_batch += take;
-            self.process_chunk(chunk, &mut decisions);
+            decisions.extend(self.shuttle(&subs[idx..idx + take]));
             idx += take;
         }
         decisions
     }
 
-    /// One context-sized chunk of [`Cluster::process_batch`].
-    fn process_chunk(&mut self, chunk: &[ClientSubmission<F>], decisions: &mut Vec<bool>)
+    /// One context-sized chunk of [`Cluster::process_batch`]: unpack,
+    /// start an engine per server, deliver every message an engine emits
+    /// to its [`recipients`] until all have decided, commit. Byte accounting
+    /// is the wire size of each emitted message times its recipients.
+    fn shuttle(&mut self, chunk: &[ClientSubmission<F>]) -> Vec<bool>
     where
         A: Sync,
     {
         let s = self.servers.len();
-        let count = chunk.len();
-        self.timings.submissions += count as u64;
-        // Take the context out for the duration of the chunk (put back at
-        // the end) so the `&mut self` phases below don't force a deep copy
-        // of the kernel pair this batching exists to amortize.
-        let ctx = self.ctx.take().expect("context refreshed");
-
-        // Unpack every server's share of every submission; a failure at any
-        // server rejects that submission (same decision the sequential
-        // path's early return produces).
-        let span = Span::start(&self.phases.unpack);
-        let mut local_ok = vec![true; count];
-        let mut unpacked: Vec<Vec<(Vec<F>, prio_snip::SnipProofShare<F>)>> =
-            Vec::with_capacity(count);
-        for (j, sub) in chunk.iter().enumerate() {
+        for sub in chunk {
             assert_eq!(sub.blobs.len(), s, "one blob per server");
-            let mut per_sub = Vec::with_capacity(s);
-            for (i, blob) in sub.blobs.iter().enumerate() {
-                match self.servers[i].unpack(blob, sub.prg_label) {
-                    Ok(pair) => per_sub.push(pair),
-                    Err(_) => {
-                        local_ok[j] = false;
-                        per_sub.clear();
-                        break;
-                    }
-                }
-            }
-            unpacked.push(per_sub);
         }
-        self.timings.unpack += span.finish();
+        self.clock.add_submissions(chunk.len() as u64);
+        let ctx = self.ctx.as_ref().expect("context refreshed");
+        let (servers, clock, seed) = (&self.servers, &self.clock, self.ctx_seed);
 
-        // Round 1 at every server, batched across the verify pool.
-        let ok_idx: Vec<usize> = (0..count).filter(|&j| local_ok[j]).collect();
-        let span = Span::start(&self.phases.round1);
-        let r1: Vec<Vec<_>> = (0..s)
-            .map(|i| {
-                let items: Vec<(&[F], &prio_snip::SnipProofShare<F>)> = ok_idx
-                    .iter()
-                    .map(|&j| {
-                        let (x, proof) = &unpacked[j][i];
-                        (x.as_slice(), proof)
-                    })
-                    .collect();
-                self.servers[i].round1_batch(&ctx, &items, self.verify_threads)
-            })
-            .collect();
-        for (k, &j) in ok_idx.iter().enumerate() {
-            if r1.iter().any(|per_server| per_server[k].is_err()) {
-                local_ok[j] = false;
-            }
-        }
-        self.timings.round1 += span.finish();
+        let (shares, unpack_span) = clock.time(Phase::Unpack, seed, 0, || {
+            servers
+                .iter()
+                .enumerate()
+                .map(|(i, server)| {
+                    chunk
+                        .iter()
+                        .map(|sub| server.unpack(&sub.blobs[i], sub.prg_label).ok())
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        });
 
-        // Combine round-1 broadcasts, run batched round 2, and decide.
-        let span = Span::start(&self.phases.round2);
-        let mut chunk_decisions = vec![false; count];
-        let mut verified_idx = Vec::new();
-        let mut combined = Vec::new();
-        let mut per_server_states: Vec<Vec<prio_snip::ServerState<F>>> = vec![Vec::new(); s];
-        for (k, &j) in ok_idx.iter().enumerate() {
-            if !local_ok[j] {
-                continue;
-            }
-            verified_idx.push(j);
-            let mut sum = prio_snip::Round1Msg {
-                d: F::zero(),
-                e: F::zero(),
-            };
-            for (i, per_server) in r1.iter().enumerate() {
-                let (state, msg) = per_server[k].as_ref().expect("checked ok above");
-                sum.d += msg.d;
-                sum.e += msg.e;
-                per_server_states[i].push(state.clone());
-            }
-            combined.push(sum);
+        let mut engines = Vec::with_capacity(s);
+        let mut queue = VecDeque::new();
+        for (i, (server, shares)) in servers.iter().zip(shares).enumerate() {
+            let (engine, first) =
+                server.begin_batch(ctx, seed, shares, self.verify_threads, clock, unpack_span);
+            engines.push(engine);
+            queue.extend(first.map(|msg| (i, msg)));
         }
-        let r2: Vec<Vec<_>> = (0..s)
-            .map(|i| self.servers[i].round2_batch(&per_server_states[i], &combined))
-            .collect();
-        for (k, &j) in verified_idx.iter().enumerate() {
-            let msgs: Vec<_> = r2.iter().map(|per_server| per_server[k]).collect();
-            chunk_decisions[j] = decide(&msgs);
-        }
-        self.timings.round2 += span.finish();
-
-        // Batched-message byte accounting (deployment framing): the
-        // deployment sends full-length vectors with zero/poison
-        // placeholders for locally failed submissions, and the entries are
-        // fixed-size, so size(count) follows from one- and two-entry
-        // probes by arithmetic — no count-sized temporaries in the
-        // measured path.
-        let grow = |one: usize, two: usize| -> u64 {
-            one as u64 + (count as u64 - 1) * (two - one) as u64
-        };
-        let r1_probe = |n: usize| {
-            ServerMsg::Round1 {
-                ctx: 0,
-                msgs: vec![
-                    prio_snip::Round1Msg {
-                        d: F::zero(),
-                        e: F::zero(),
-                    };
-                    n
-                ],
+        while let Some((from, msg)) = queue.pop_front() {
+            let targets = recipients(from, s);
+            self.sent_bytes[from] += (msg.to_wire_bytes().len() * targets.len()) as u64;
+            for to in targets {
+                let released = engines[to]
+                    .on_msg(from, msg.clone(), clock)
+                    .expect("engines emit only what their peers are waiting for");
+                queue.extend(released.map(|msg| (to, msg)));
             }
-            .to_wire_bytes()
-            .len()
-        };
-        let comb_probe = |n: usize| {
-            ServerMsg::Round1Combined {
-                ctx: 0,
-                msgs: vec![
-                    prio_snip::Round1Msg {
-                        d: F::zero(),
-                        e: F::zero(),
-                    };
-                    n
-                ],
-            }
-            .to_wire_bytes()
-            .len()
-        };
-        let r2_probe = |n: usize| {
-            ServerMsg::Round2 {
-                ctx: 0,
-                msgs: vec![
-                    prio_snip::Round2Msg {
-                        sigma: F::one(),
-                        out: F::one(),
-                    };
-                    n
-                ],
-            }
-            .to_wire_bytes()
-            .len()
-        };
-        let r1_size = grow(r1_probe(1), r1_probe(2));
-        let comb_size = grow(comb_probe(1), comb_probe(2));
-        let r2_size = grow(r2_probe(1), r2_probe(2));
-        let dec_size = ServerMsg::<F>::Decisions {
-            ctx: 0,
-            bits: pack_decisions(&chunk_decisions),
         }
-        .to_wire_bytes()
-        .len() as u64;
-        for i in 1..s {
-            self.sent_bytes[i] += r1_size + r2_size;
+        // Followers unpack the leader's bits: any server's copy is the batch's.
+        let mut decisions = Vec::new();
+        for (engine, server) in engines.into_iter().zip(&mut self.servers) {
+            assert!(engine.decided(), "queue drained before every engine decided");
+            decisions = engine.commit(server).0;
         }
-        self.sent_bytes[0] += (comb_size + dec_size) * (s as u64 - 1);
-
-        // Deterministic merge, in submission order.
-        for (j, &accepted) in chunk_decisions.iter().enumerate() {
-            if accepted {
-                for (i, server) in self.servers.iter_mut().enumerate() {
-                    server.accumulate(&unpacked[j][i].0);
-                }
-            } else {
-                for server in &mut self.servers {
-                    server.reject();
-                }
-            }
-            decisions.push(accepted);
-        }
-        self.ctx = Some(ctx);
+        decisions
     }
 
     /// Publishes and sums the accumulators: `σ = Σ_j A_j` (Figure 1d).
     pub fn aggregate(&self) -> Vec<F> {
-        // `&self` here, so the publish cost lands in the histogram only;
-        // `timings.publish` stays whatever the server loop put there.
-        let span = Span::start(&self.phases.publish);
-        let kp = self.servers[0].accumulator().len();
-        let mut sigma = vec![F::zero(); kp];
-        for server in &self.servers {
-            for (acc, &v) in sigma.iter_mut().zip(server.accumulator()) {
-                *acc += v;
+        let sum = || {
+            let kp = self.servers[0].accumulator().len();
+            let mut sigma = vec![F::zero(); kp];
+            for server in &self.servers {
+                for (acc, &v) in sigma.iter_mut().zip(server.accumulator()) {
+                    *acc += v;
+                }
             }
-        }
-        span.finish();
-        sigma
+            sigma
+        };
+        self.clock.time(Phase::Publish, 0, 0, sum).0
     }
 
     /// Decodes the aggregate through the AFE.
@@ -510,12 +336,12 @@ impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
 
     /// Accumulated per-phase verification timings.
     pub fn timings(&self) -> PhaseTimings {
-        self.timings
+        self.clock.timings()
     }
 
     /// Resets the per-phase timing accumulators (e.g. after warmup runs).
     pub fn reset_timings(&mut self) {
-        self.timings = PhaseTimings::default();
+        self.clock.reset();
     }
 
     /// Number of servers.
@@ -638,9 +464,9 @@ mod tests {
 
     #[test]
     fn batched_byte_accounting_matches_full_serialization() {
-        // process_chunk derives message sizes from 1/2-entry probes plus
-        // arithmetic; that is exact because the wire format length prefix
-        // is fixed-width. Pin it against directly serialized full vectors.
+        // process_batch counts the wire size of every message the engines
+        // emit. Field encodings are fixed-width, so the totals must equal
+        // directly serialized placeholder vectors of the same length.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let n = 5usize;
         let mut cluster: Cluster<Field64, _> = Cluster::with_options(

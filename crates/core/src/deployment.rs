@@ -513,7 +513,7 @@ mod tests {
         // Decisions at a non-leader. Many short deployments give the race
         // plenty of chances; the loop must stay panic- and deadlock-free
         // and the counts exact (regression test for the message stash in
-        // `recv_matching`).
+        // the server loop's receive).
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for round in 0..8 {
             let afe = SumAfe::new(4);

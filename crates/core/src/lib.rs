@@ -12,17 +12,19 @@
 //! 4. **Publish** — the servers reveal their accumulators; their sum is the
 //!    sum of encodings, which the AFE decoder turns into the statistic.
 //!
-//! Two drivers are provided:
+//! Steps 2–3 have one implementation, the sans-I/O
+//! [`engine::BatchEngine`], and three drivers that move its messages:
 //!
-//! * [`cluster::Cluster`] — a deterministic, single-threaded simulation of
-//!   `s` servers with exact byte accounting. Used by tests, examples, and
-//!   the bandwidth experiment (Figure 6).
-//! * [`deployment::Deployment`] — `s` real server threads exchanging framed
-//!   messages over a pluggable [`prio_net`] transport (in-process sim
-//!   fabric or real localhost TCP sockets, selected by
-//!   [`DeploymentConfig::transport`]), with leader-coordinated batch
-//!   verification. Used by the throughput experiments (Figures 4 and 5,
-//!   Table 9).
+//! * [`cluster::Cluster`] — a deterministic simulation: `s` engines in one
+//!   thread with exact byte accounting. Used by tests, examples, and the
+//!   bandwidth experiment (Figure 6).
+//! * [`deployment::Deployment`] — `s` server threads, each running
+//!   [`run_server_loop`] (frame in → engine → frames out) over a pluggable
+//!   [`prio_net`] transport (in-process sim fabric or real localhost TCP
+//!   sockets, selected by [`DeploymentConfig::transport`]). Used by the
+//!   throughput experiments (Figures 4 and 5, Table 9).
+//! * `prio-node` processes (`prio_proc`) — the same [`run_server_loop`],
+//!   one OS process per server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,13 +33,16 @@ pub mod client;
 pub mod cluster;
 pub mod driver;
 pub mod deployment;
+pub mod engine;
 pub mod messages;
+pub mod phase;
 pub mod server;
 pub mod server_loop;
 
 pub use client::{Client, ClientConfig, ClientSubmission, ShareBlob};
-pub use cluster::{Cluster, PhaseTimings};
+pub use cluster::Cluster;
 pub use deployment::{Deployment, DeploymentConfig, DeploymentReport};
 pub use driver::{BatchDriver, BatchOutcome, DriverError};
+pub use phase::PhaseTimings;
 pub use server::{Server, ServerConfig};
 pub use server_loop::{run_server_loop, FramePolicy, ServerLoopOptions, ServerLoopReport};

@@ -6,7 +6,7 @@ use prio_circuit::Circuit;
 use prio_crypto::prg::PrgRng;
 use prio_field::FieldElement;
 use prio_snip::{
-    verifier::{verify_round1, verify_round1_batch, verify_round2, verify_round2_batch},
+    verifier::{verify_round1, verify_round1_batch, verify_round2},
     HForm, Round1Msg, Round2Msg, ServerState, SnipError, SnipProofShare, VerifierContext,
     VerifyMode,
 };
@@ -63,6 +63,11 @@ impl<F: FieldElement, A: Afe<F>> Server<F, A> {
     /// Whether this server coordinates verification.
     pub fn is_leader(&self) -> bool {
         self.cfg.index == 0
+    }
+
+    /// Total number of servers `s`.
+    pub fn num_servers(&self) -> usize {
+        self.cfg.num_servers
     }
 
     /// The shared layout.
@@ -171,16 +176,6 @@ impl<F: FieldElement, A: Afe<F>> Server<F, A> {
     /// Runs SNIP verification round 2 for one submission.
     pub fn round2(&self, state: &ServerState<F>, combined: &[Round1Msg<F>]) -> Round2Msg<F> {
         verify_round2(state, combined)
-    }
-
-    /// Batch round 2: `combined[j]` is the summed round-1 broadcast for
-    /// submission `j` (the leader-star redistribution form).
-    pub fn round2_batch(
-        &self,
-        states: &[ServerState<F>],
-        combined: &[Round1Msg<F>],
-    ) -> Vec<Round2Msg<F>> {
-        verify_round2_batch(states, combined)
     }
 
     /// Folds an accepted submission's truncated share into the accumulator

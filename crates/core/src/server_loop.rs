@@ -1,15 +1,17 @@
-//! The transport-agnostic server event loop, shared by every deployment
-//! flavour.
+//! The transport-agnostic server event loop: the I/O half of a deployed
+//! server.
 //!
-//! [`run_server_loop`] is the one implementation of the per-server side of
-//! the batched verification protocol: the in-process threaded
+//! The protocol itself lives in the sans-I/O [`BatchEngine`]; this loop
+//! is frame in → [`BatchEngine::on_msg`] → frames out, and owns only what
+//! is genuinely I/O: receiving and decoding frames, stashing the ones
+//! that arrive ahead of their phase, gather deadlines and batch
+//! abandonment, send retry, duplicate-batch dedup, and the
+//! [`FramePolicy`] for garbage. The in-process threaded
 //! [`Deployment`](crate::Deployment) runs it on `s` threads over one
 //! shared fabric, and the `prio-node` binary of the multi-process
 //! `prio_proc` subsystem runs the *same function* over a per-process
 //! [`TcpTransport`](prio_net::TcpTransport) whose peers were registered
-//! through the control plane. Factoring it here is what keeps the two
-//! execution fabrics protocol-identical: there is no second copy to
-//! drift.
+//! through the control plane.
 //!
 //! The loop owns nothing: it borrows the [`Server`] (so the caller can
 //! read accumulators and counters afterwards) and the [`Endpoint`], and
@@ -17,16 +19,16 @@
 //! verification-phase byte count (sampled when the publish request
 //! arrives — the Figure-6 quantity).
 
-use crate::cluster::PhaseTimings;
-use crate::messages::{blob_from_bytes, pack_decisions, unpack_decisions, ServerMsg};
+use crate::engine::{recipients, BatchEngine};
+use crate::messages::{blob_from_bytes, ServerMsg};
+use crate::phase::{Phase, PhaseClock, PhaseTimings};
 use crate::server::Server;
 use prio_afe::Afe;
 use prio_field::FieldElement;
-use prio_net::wire::{from_traced_bytes, to_traced_bytes, Wire};
+use prio_net::wire::{from_traced_bytes, to_traced_bytes};
 use prio_net::{Endpoint, NodeId, RecvTimeoutError, RetryPolicy};
 use prio_obs::trace::{SpanKind, TraceRecorder};
-use prio_obs::{names, Obs, Span, TraceCtx};
-use prio_snip::{decide, Round1Msg};
+use prio_obs::{names, Obs, TraceCtx};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,65 +37,79 @@ use std::time::Instant;
 const TARGET: &str = "core::server_loop";
 
 /// The loop's metric handles, resolved once per [`run_server_loop`] call so
-/// the per-frame paths touch only pre-registered atomics. Also carries the
-/// event hub: every stderr line the loop used to print unconditionally now
-/// rides the rate limiter here.
-pub(crate) struct LoopMetrics {
-    pub(crate) drop_unknown_sender: prio_obs::Counter,
-    pub(crate) drop_undecodable: prio_obs::Counter,
-    pub(crate) drop_stash_overflow: prio_obs::Counter,
-    pub(crate) drop_unexpected_kind: prio_obs::Counter,
-    pub(crate) accepted: prio_obs::Counter,
-    pub(crate) rejected_malformed: prio_obs::Counter,
-    pub(crate) rejected_verify: prio_obs::Counter,
-    pub(crate) deduped: prio_obs::Counter,
-    pub(crate) batches_abandoned: prio_obs::Counter,
-    pub(crate) batch_size: prio_obs::Histogram,
-    pub(crate) phase_unpack: prio_obs::Histogram,
-    pub(crate) phase_round1: prio_obs::Histogram,
-    pub(crate) phase_round2: prio_obs::Histogram,
-    pub(crate) phase_publish: prio_obs::Histogram,
-    pub(crate) stash_depth: prio_obs::Gauge,
-    pub(crate) events: prio_obs::Events,
+/// the per-frame paths touch only pre-registered atomics, and the
+/// (rate-limited) event hub.
+struct LoopMetrics {
+    /// Indexed by `Dropped as usize`.
+    dropped: [prio_obs::Counter; 5],
+    accepted: prio_obs::Counter,
+    rejected_malformed: prio_obs::Counter,
+    rejected_verify: prio_obs::Counter,
+    deduped: prio_obs::Counter,
+    batches_abandoned: prio_obs::Counter,
+    batch_size: prio_obs::Histogram,
+    stash_depth: prio_obs::Gauge,
+    events: prio_obs::Events,
 }
 
 impl LoopMetrics {
-    pub(crate) fn resolve(obs: &Obs) -> LoopMetrics {
+    fn resolve(obs: &Obs) -> LoopMetrics {
         let reg = obs.registry();
         LoopMetrics {
-            drop_unknown_sender: reg
-                .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "unknown_sender")]),
-            drop_undecodable: reg
-                .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "undecodable")]),
-            drop_stash_overflow: reg
-                .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "stash_overflow")]),
-            drop_unexpected_kind: reg
-                .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "unexpected_kind")]),
+            dropped: DROPPED.map(|(reason, _)| reg.counter(names::SERVER_FRAMES_DROPPED, reason)),
             accepted: reg.counter(names::SERVER_SUBMISSIONS_ACCEPTED, &[]),
-            rejected_malformed: reg
-                .counter(names::SERVER_SUBMISSIONS_REJECTED, &[("reason", "malformed")]),
+            rejected_malformed: reg.counter(
+                names::SERVER_SUBMISSIONS_REJECTED,
+                &[("reason", "malformed")],
+            ),
             rejected_verify: reg
                 .counter(names::SERVER_SUBMISSIONS_REJECTED, &[("reason", "verify")]),
             deduped: reg.counter(names::SERVER_FRAMES_DEDUPED, &[]),
             batches_abandoned: reg.counter(names::SERVER_BATCHES_ABANDONED, &[]),
             batch_size: reg.histogram(names::SERVER_BATCH_SIZE, &[]),
-            phase_unpack: reg.histogram(names::SERVER_PHASE_US, &[("phase", "unpack")]),
-            phase_round1: reg.histogram(names::SERVER_PHASE_US, &[("phase", "round1")]),
-            phase_round2: reg.histogram(names::SERVER_PHASE_US, &[("phase", "round2")]),
-            phase_publish: reg.histogram(names::SERVER_PHASE_US, &[("phase", "publish")]),
             stash_depth: reg.gauge(names::SERVER_STASH_DEPTH, &[]),
             events: obs.events().clone(),
         }
     }
 }
 
-/// What the loop does with a frame it cannot decode or whose sender is not
-/// part of the deployment.
+/// Why a frame was discarded.
+#[derive(Copy, Clone)]
+enum Dropped {
+    UnknownSender,
+    Undecodable,
+    StashOverflow,
+    UnexpectedKind,
+    BadLength,
+}
+
+/// Per [`Dropped`], in declaration order: its `server_frames_dropped_total`
+/// labels and its event.
+const DROPPED: [(&[(&str, &str)], &str); 5] = [
+    (
+        &[("reason", "unknown_sender")],
+        "frame_dropped_unknown_sender",
+    ),
+    (&[("reason", "undecodable")], "frame_dropped_undecodable"),
+    (
+        &[("reason", "stash_overflow")],
+        "frame_dropped_stash_overflow",
+    ),
+    (
+        &[("reason", "unexpected_kind")],
+        "frame_dropped_unexpected_kind",
+    ),
+    (&[("reason", "bad_length")], "frame_dropped_bad_length"),
+];
+
+/// What the loop does with a frame it cannot decode, whose sender is not
+/// part of the deployment, or whose round vector has the wrong length.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FramePolicy {
-    /// Panic. Right for in-process deployments, where every sender is
-    /// trusted protocol code and an undecodable message is a bug that
-    /// should fail loudly instead of becoming an undiagnosable hang.
+    /// Panic (undecodable) or stop the loop (wrong length). Right for
+    /// in-process deployments, where every sender is trusted protocol code
+    /// and a bad message is a bug that should fail loudly instead of
+    /// becoming an undiagnosable hang.
     Strict,
     /// Count the drop and emit a rate-limited warn event. Right for a
     /// network-facing `prio-node` process: anyone can connect to its data
@@ -105,11 +121,12 @@ pub enum FramePolicy {
     ///
     /// Known limitation: the frame header's sender id is *not
     /// authenticated* — a local attacker who forges a known peer's id and
-    /// a well-formed message can still disturb a batch (availability, not
-    /// privacy: shares remain secret and tampered submissions are still
-    /// rejected by the SNIP). Binding sender identity cryptographically
-    /// (e.g. `prio_crypto::sealed` channels per link) is tracked in the
-    /// ROADMAP.
+    /// a well-formed, right-length message can still disturb a batch
+    /// (availability, not privacy: shares remain secret and tampered
+    /// submissions are still rejected by the SNIP); a wrong-length one is
+    /// dropped like any other garbage. Binding sender identity
+    /// cryptographically (e.g. `prio_crypto::sealed` channels per link) is
+    /// tracked in the ROADMAP.
     Lenient,
 }
 
@@ -182,10 +199,11 @@ pub struct ServerLoopReport {
     /// Zero if no publish request was seen.
     pub verify_bytes_sent: u64,
     /// Frames this loop discarded (unknown sender, undecodable, stash
-    /// overflow, unexpected kind). Counted locally per loop run — the
-    /// registry's `server_frames_dropped_total` aggregates across every
-    /// loop in the process, which is the wrong denominator for a per-node
-    /// report when several servers share one process.
+    /// overflow, unexpected kind, wrong-length round vector). Counted
+    /// locally per loop run — the registry's `server_frames_dropped_total`
+    /// aggregates across every loop in the process, which is the wrong
+    /// denominator for a per-node report when several servers share one
+    /// process.
     pub frames_dropped: u64,
     /// Duplicate `ClientBatch` frames the idempotent-ingest seen-set
     /// discarded (a duplicated upload must not double-count).
@@ -209,172 +227,276 @@ const MAX_LENIENT_STASH: usize = 4096;
 /// batches deep is far beyond any realistic duplication horizon.
 const MAX_SEEN_BATCHES: usize = 4096;
 
-/// How one [`recv_matching`] wait ended.
-enum RecvOutcome<F: FieldElement> {
-    /// The wanted message arrived (or was stashed earlier), with the
-    /// sender it came from and the trace context its frame carried.
-    Msg(NodeId, ServerMsg<F>, Option<TraceCtx>),
-    /// The fabric closed underneath the loop.
-    Closed,
-    /// The caller's deadline expired first.
-    Deadline,
+/// A received message with its sender and the trace context its frame
+/// carried.
+type Received<F> = (NodeId, ServerMsg<F>, Option<TraceCtx>);
+
+/// The loop must end: fabric closed, a send failed for good, or (Strict)
+/// a peer broke the protocol. Narrated where it happens.
+struct Exit;
+
+/// What one run of the loop holds besides the [`Server`].
+struct Io<'a, F: FieldElement> {
+    ep: &'a Endpoint,
+    /// The server set in index order (`ids[0]` is the leader).
+    ids: &'a [NodeId],
+    /// This server's index in `ids` (and its node id in traces).
+    me: usize,
+    driver: NodeId,
+    opts: &'a ServerLoopOptions,
+    metrics: LoopMetrics,
+    clock: PhaseClock,
+    /// `None` on untraced runs, which keeps every frame byte-identical to
+    /// the untraced encoding.
+    trace: Option<&'a TraceRecorder>,
+    /// Valid messages that arrived ahead of their phase.
+    stash: VecDeque<Received<F>>,
+    report: ServerLoopReport,
 }
 
-/// Receives the next message matching `want`, stashing any other valid
-/// message for a later phase; an optional `deadline` bounds the wait.
-///
-/// The sim fabric funnels every sender into one queue, so messages arrive
-/// in global send order — but over TCP each sender has its own connection
-/// and there is no cross-sender ordering: the driver's `PublishRequest` or
-/// next `ClientBatch` can overtake the leader's `Decisions`, and a
-/// non-leader's `Round1` can overtake the driver's `ClientBatch` at the
-/// leader. The stash makes the server loop transport-agnostic: a message
-/// for a later phase waits its turn instead of tripping a protocol panic.
-///
-/// Under [`FramePolicy::Lenient`], frames from senders outside the
-/// deployment and frames that fail to decode are counted in
-/// `server_frames_dropped_total{reason=...}` (and tallied into `dropped`
-/// for the loop's report), narrated through rate-limited warn events, and
-/// dropped — the node-process hardening path. A garbage-frame flood moves
-/// counters, not stderr.
-/// Stash entries carry the sender: gathers are *source-aware*, so a
-/// fault-duplicated round vector from one peer can never be misattributed
-/// as another peer's contribution.
-#[allow(clippy::too_many_arguments)]
-fn recv_matching<F: FieldElement>(
-    ep: &Endpoint,
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
-    policy: FramePolicy,
-    known: &[NodeId],
-    metrics: &LoopMetrics,
-    dropped: &mut u64,
-    deadline: Option<Instant>,
-    want: impl Fn(NodeId, &ServerMsg<F>) -> bool,
-) -> RecvOutcome<F> {
-    if let Some(pos) = stash.iter().position(|(src, m, _)| want(*src, m)) {
-        if let Some((src, msg, ctx)) = stash.remove(pos) {
-            metrics.stash_depth.set(stash.len() as i64);
-            return RecvOutcome::Msg(src, msg, ctx);
-        }
-    }
-    loop {
-        let env = match deadline {
-            None => match ep.recv() {
-                Ok(env) => env,
-                Err(_) => return RecvOutcome::Closed,
-            },
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return RecvOutcome::Deadline;
-                }
-                match ep.recv_timeout(deadline - now) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => return RecvOutcome::Deadline,
-                    Err(RecvTimeoutError::Closed) => return RecvOutcome::Closed,
-                }
+impl<F: FieldElement> Io<'_, F> {
+    /// Receives the next message matching `want`, stashing any other valid
+    /// message for a later phase; an optional `deadline` bounds the wait.
+    ///
+    /// The sim fabric funnels every sender into one queue, so messages
+    /// arrive in global send order — but over TCP each sender has its own
+    /// connection and there is no cross-sender ordering: the driver's
+    /// `PublishRequest` or next `ClientBatch` can overtake the leader's
+    /// `Decisions`, and a non-leader's `Round1` can overtake the driver's
+    /// `ClientBatch` at the leader. The stash makes the server loop
+    /// transport-agnostic: a message for a later phase waits its turn
+    /// instead of tripping a protocol panic.
+    ///
+    /// Under [`FramePolicy::Lenient`], frames from senders outside the
+    /// deployment and frames that fail to decode are counted in
+    /// `server_frames_dropped_total{reason=...}` (and tallied for the
+    /// loop's report), narrated through rate-limited warn events, and
+    /// dropped — the node-process hardening path. A garbage-frame flood
+    /// moves counters, not stderr.
+    /// Stash entries carry the sender: `want` is *source-aware*, so a
+    /// fault-duplicated round vector from one peer can never be
+    /// misattributed as another peer's contribution.
+    fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        want: impl Fn(NodeId, &ServerMsg<F>) -> bool,
+    ) -> Result<Received<F>, RecvTimeoutError> {
+        if let Some(pos) = self.stash.iter().position(|(src, m, _)| want(*src, m)) {
+            if let Some(found) = self.stash.remove(pos) {
+                self.metrics.stash_depth.set(self.stash.len() as i64);
+                return Ok(found);
             }
-        };
-        if policy == FramePolicy::Lenient && !known.contains(&env.src) {
-            metrics.drop_unknown_sender.inc();
-            *dropped += 1;
-            metrics.events.warn(
-                TARGET,
-                "frame_dropped_unknown_sender",
-                format!(
-                    "dropping frame from unknown sender {:?} ({} bytes)",
-                    env.src,
-                    env.payload.len()
-                ),
-            );
-            continue;
         }
-        let (msg, ctx) = match from_traced_bytes::<ServerMsg<F>>(&env.payload) {
-            Ok(pair) => pair,
-            // An undecodable payload from a deployment member is a protocol
-            // violation, not noise: honest peers never produce one, and in
-            // an in-process deployment silently dropping it would turn a
-            // missing gather message into an undiagnosable hang — fail
-            // loudly there. A network-facing node drops it instead (the
-            // sender id is trivially forgeable, so even a "known" source
-            // may be a stranger) and keeps serving.
-            Err(e) => match policy {
-                // lint:allow(no-panic, Strict is the in-process mode where every sender is trusted protocol code; a bad frame is a local bug that must fail loudly)
-                FramePolicy::Strict => panic!("undecodable message from {:?}: {e}", env.src),
-                FramePolicy::Lenient => {
-                    metrics.drop_undecodable.inc();
-                    *dropped += 1;
-                    metrics.events.warn(
-                        TARGET,
-                        "frame_dropped_undecodable",
-                        format!("rejecting undecodable frame from {:?}: {e}", env.src),
-                    );
-                    continue;
+        loop {
+            let env = match deadline {
+                None => self.ep.recv().map_err(|_| RecvTimeoutError::Closed)?,
+                Some(deadline) => {
+                    // Checked before every receive, so a frame flood that
+                    // keeps the mailbox non-empty cannot outlast it.
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(RecvTimeoutError::Timeout);
+                    }
+                    self.ep.recv_timeout(left)?
                 }
-            },
-        };
-        if want(env.src, &msg) {
-            return RecvOutcome::Msg(env.src, msg, ctx);
+            };
+            let known = env.src == self.driver || self.ids.contains(&env.src);
+            if self.opts.frame_policy == FramePolicy::Lenient && !known {
+                self.drop_frame(
+                    Dropped::UnknownSender,
+                    format!(
+                        "dropping frame from unknown sender {:?} ({} bytes)",
+                        env.src,
+                        env.payload.len()
+                    ),
+                );
+                continue;
+            }
+            let (msg, ctx) = match from_traced_bytes::<ServerMsg<F>>(&env.payload) {
+                Ok(pair) => pair,
+                // An undecodable payload from a deployment member is a protocol
+                // violation, not noise: honest peers never produce one, and in
+                // an in-process deployment silently dropping it would turn a
+                // missing gather message into an undiagnosable hang — fail
+                // loudly there. A network-facing node drops it instead (the
+                // sender id is trivially forgeable, so even a "known" source
+                // may be a stranger) and keeps serving.
+                Err(e) => match self.opts.frame_policy {
+                    // lint:allow(no-panic, Strict is the in-process mode where every sender is trusted protocol code; a bad frame is a local bug that must fail loudly)
+                    FramePolicy::Strict => panic!("undecodable message from {:?}: {e}", env.src),
+                    FramePolicy::Lenient => {
+                        self.drop_frame(
+                            Dropped::Undecodable,
+                            format!("rejecting undecodable frame from {:?}: {e}", env.src),
+                        );
+                        continue;
+                    }
+                },
+            };
+            if want(env.src, &msg) {
+                return Ok((env.src, msg, ctx));
+            }
+            if self.opts.frame_policy == FramePolicy::Lenient
+                && self.stash.len() >= MAX_LENIENT_STASH
+            {
+                self.drop_frame(
+                    Dropped::StashOverflow,
+                    format!(
+                        "stash full ({MAX_LENIENT_STASH}); dropping out-of-phase {} message",
+                        msg_kind(&msg)
+                    ),
+                );
+                continue;
+            }
+            self.stash.push_back((env.src, msg, ctx));
+            self.metrics.stash_depth.set(self.stash.len() as i64);
         }
-        if policy == FramePolicy::Lenient && stash.len() >= MAX_LENIENT_STASH {
-            metrics.drop_stash_overflow.inc();
-            *dropped += 1;
-            metrics.events.warn(
-                TARGET,
-                "frame_dropped_stash_overflow",
-                format!(
-                    "stash full ({MAX_LENIENT_STASH}); dropping out-of-phase {} message",
-                    msg_kind(&msg)
-                ),
-            );
-            continue;
+    }
+
+    /// Counts one discarded frame and narrates it (rate-limited).
+    fn drop_frame(&mut self, why: Dropped, detail: String) {
+        self.metrics.dropped[why as usize].inc();
+        self.report.frames_dropped += 1;
+        self.metrics
+            .events
+            .warn(TARGET, DROPPED[why as usize].1, detail);
+    }
+
+    /// Sends `msg` to each of `to` under the retry policy.
+    fn send(&self, to: &[NodeId], msg: &ServerMsg<F>, tctx: Option<TraceCtx>) -> Result<(), Exit> {
+        let bytes = to_traced_bytes(msg, tctx);
+        for &dst in to {
+            self.opts
+                .retry
+                .run(msg_kind(msg), || self.ep.send(dst, bytes.clone()))
+                .map_err(|_| Exit)?;
         }
-        stash.push_back((env.src, msg, ctx));
-        metrics.stash_depth.set(stash.len() as i64);
+        Ok(())
+    }
+
+    /// Discards every round message left in the stash at a batch boundary.
+    /// Round frames are bound to their batch by `ctx`, so a stale one can
+    /// never be *consumed* by a later gather; this clear is what keeps
+    /// them from *accumulating* — a fault-duplicated or late vector of a
+    /// finished or abandoned batch would otherwise sit in the stash for
+    /// the life of the loop, growing memory and every receive's scan. It
+    /// cannot discard live traffic: a server runs one batch at a time and
+    /// the driver paces batches on the previous batch's decisions (or its
+    /// deadline), so at a boundary every stashed round frame is stale.
+    fn clear_round_stash(&mut self) {
+        self.stash.retain(|(_, m, _)| enters_phase(m));
+        self.metrics.stash_depth.set(self.stash.len() as i64);
+    }
+
+    /// Drives one batch's engine until it has decided: send what it emits,
+    /// feed it the frames it wants. `Ok(false)` means a gather deadline
+    /// expired and the batch is abandoned (never accumulated) while the
+    /// loop keeps serving. Every server abandons symmetrically — the
+    /// leader never sent `Decisions`, so followers time out too — which
+    /// is what keeps the accepted-subset aggregates bit-identical across
+    /// servers.
+    fn drive(
+        &mut self,
+        engine: &mut BatchEngine<F>,
+        mut outgoing: Option<ServerMsg<F>>,
+        ctx_seed: u64,
+        deadline: Option<Instant>,
+    ) -> Result<bool, Exit> {
+        let (ids, me, trace) = (self.ids, self.me, self.trace);
+        let index_of = |src: NodeId| ids.iter().position(|&id| id == src);
+        // What caused `outgoing`: a follower's messages come out of its
+        // compute spans, the leader's (combine, decide) out of the gather
+        // that released them.
+        let mut cause = engine.last_span();
+        loop {
+            if let Some(msg) = &outgoing {
+                let tctx = trace.map(|_| TraceCtx {
+                    trace: ctx_seed,
+                    parent: cause,
+                });
+                let mut to = ids.get(recipients(me, ids.len())).unwrap_or(&[]).to_vec();
+                if engine.decided() {
+                    // The leader also tells whoever fed the batch.
+                    to.push(self.driver);
+                }
+                self.send(&to, msg, tctx)?;
+            }
+            if engine.decided() {
+                return Ok(true);
+            }
+
+            // One gather: frames the engine wants, until it moves on. Its
+            // wait span runs from here to the frame that completed it; its
+            // parent is the *earliest* sender span among the frames that
+            // fed it (min over received ctx parents — deterministic for a
+            // deterministic frame set), or with no traced frame our own
+            // preceding compute span, so the tree stays connected.
+            let phase = engine.waiting_for();
+            let fallback = engine.last_span();
+            let wait_start = trace.map_or(0, |rec| rec.now_us());
+            let mut wait_parent: Option<u64> = None;
+            outgoing = loop {
+                let want =
+                    |src, m: &ServerMsg<F>| index_of(src).is_some_and(|i| engine.wants(i, m));
+                let (src, msg, fctx) = match self.recv(deadline, want) {
+                    Ok(received) => received,
+                    Err(RecvTimeoutError::Timeout) => return Ok(false),
+                    Err(RecvTimeoutError::Closed) => return Err(Exit),
+                };
+                let wait_end = trace.map_or(0, |rec| rec.now_us());
+                let Some(from) = index_of(src) else { continue };
+                match engine.on_msg(from, msg, &self.clock) {
+                    Ok(released) => {
+                        if let Some(c) = fctx {
+                            wait_parent = Some(wait_parent.map_or(c.parent, |p| p.min(c.parent)));
+                        }
+                        if released.is_none() && !engine.decided() {
+                            continue;
+                        }
+                        let wait = trace.map_or(0, |rec| {
+                            let (parent, kind) =
+                                (wait_parent.unwrap_or(fallback), SpanKind::GatherWait);
+                            rec.record_span(
+                                ctx_seed, parent, me as u64, kind, phase, wait_start, wait_end,
+                            )
+                        });
+                        cause = if me == 0 { wait } else { engine.last_span() };
+                        break released;
+                    }
+                    // The engine refused the frame and is unchanged. A
+                    // network-facing node counts the forgery and keeps
+                    // waiting for the genuine frame; in-process, a peer
+                    // that miscounts is a bug — stop rather than hang.
+                    Err(e) => match self.opts.frame_policy {
+                        FramePolicy::Lenient => self.drop_frame(
+                            Dropped::BadLength,
+                            format!("refusing {phase} frame from {src:?}: {e:?}"),
+                        ),
+                        FramePolicy::Strict => {
+                            let detail = format!("{phase} frame from {src:?}: {e:?}");
+                            self.metrics
+                                .events
+                                .error(TARGET, "round_length_mismatch", detail);
+                            return Err(Exit);
+                        }
+                    },
+                }
+            };
+        }
     }
 }
 
-/// Clears every mid-protocol round message left in the stash at a batch
-/// boundary: stale vectors from a finished (or abandoned) batch must not
-/// be mistaken for the next batch's traffic. Round messages carry no
-/// batch identity, so the boundary is the only safe discard point — and
-/// it is sufficient, because the driver paces batches on the previous
-/// batch's decisions (or its deadline), after which any straggling or
-/// fault-duplicated round frame is by definition stale.
-fn clear_round_stash<F: FieldElement>(
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
-    metrics: &LoopMetrics,
-) {
-    stash.retain(|(_, m, _)| {
-        !matches!(
-            m,
-            ServerMsg::Round1 { .. }
-                | ServerMsg::Round1Combined { .. }
-                | ServerMsg::Round2 { .. }
-                | ServerMsg::Decisions { .. }
-        )
-    });
-    metrics.stash_depth.set(stash.len() as i64);
+/// Whether `msg` is one of the driver's phase-entry messages (as opposed
+/// to a mid-batch round message).
+fn enters_phase<F: FieldElement>(msg: &ServerMsg<F>) -> bool {
+    matches!(
+        msg,
+        ServerMsg::ClientBatch { .. } | ServerMsg::PublishRequest | ServerMsg::Shutdown
+    )
 }
 
-/// [`clear_round_stash`] plus the abandonment accounting, for a batch a
-/// gather deadline killed.
-fn abandon_batch<F: FieldElement>(
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
-    metrics: &LoopMetrics,
-    report: &mut ServerLoopReport,
-) {
-    clear_round_stash(stash, metrics);
-    metrics.batches_abandoned.inc();
-    report.batches_abandoned += 1;
-    metrics.events.warn(
-        TARGET,
-        "batch_abandoned",
-        "mid-batch gather deadline expired; abandoning the batch without accumulating".to_string(),
-    );
-}
-
-/// Short tag for log lines (avoids dumping whole field vectors to stderr).
+/// Short tag for log lines (avoids dumping whole field vectors to stderr)
+/// and the `retry_attempts_total{op}` label of a send.
 fn msg_kind<F: FieldElement>(msg: &ServerMsg<F>) -> &'static str {
     match msg {
         ServerMsg::BatchStart { .. } => "BatchStart",
@@ -389,45 +511,10 @@ fn msg_kind<F: FieldElement>(msg: &ServerMsg<F>) -> &'static str {
     }
 }
 
-/// Runs batched round 2 over the submissions that survived round 1,
-/// scattering the results back into submission order. Locally failed
-/// submissions get a poisoned share (`σ = out = 1`) so the global decision
-/// is guaranteed to reject them even if other servers verified fine.
-fn batched_round2<F: FieldElement, A: Afe<F>>(
-    server: &Server<F, A>,
-    states: &[Option<prio_snip::ServerState<F>>],
-    combined: &[Round1Msg<F>],
-) -> Vec<prio_snip::Round2Msg<F>> {
-    // Walk states and combined together: a combined vector shorter than the
-    // batch (possible on a forged leader message) simply poisons the tail
-    // instead of panicking.
-    let mut ok_idx: Vec<usize> = Vec::new();
-    let mut sts: Vec<prio_snip::ServerState<F>> = Vec::new();
-    let mut combs: Vec<Round1Msg<F>> = Vec::new();
-    for (j, st) in states.iter().enumerate() {
-        if let (Some(st), Some(comb)) = (st, combined.get(j)) {
-            ok_idx.push(j);
-            sts.push(st.clone());
-            combs.push(*comb);
-        }
-    }
-    let compact = server.round2_batch(&sts, &combs);
-    let mut out = vec![
-        prio_snip::Round2Msg {
-            sigma: F::one(),
-            out: F::one(),
-        };
-        states.len()
-    ];
-    for (k, &j) in ok_idx.iter().enumerate() {
-        out[j] = compact[k];
-    }
-    out
-}
-
-/// The server event loop: drains `ClientBatch`es through the two SNIP
-/// broadcast rounds (leader-star topology), accumulates accepted
-/// submissions, answers the publish request, and exits on shutdown.
+/// The server event loop: drains `ClientBatch`es through the batch engine
+/// (two SNIP broadcast rounds, leader-star topology), accumulates
+/// accepted submissions, answers the publish request, and exits on
+/// shutdown.
 ///
 /// `ids` is the full server set in index order (`ids[0]` is the leader and
 /// must contain `ep.id()`); `driver` is the node the leader reports
@@ -440,21 +527,38 @@ pub fn run_server_loop<F: FieldElement, A: Afe<F> + Sync>(
     opts: ServerLoopOptions,
 ) -> ServerLoopReport {
     let metrics = LoopMetrics::resolve(&opts.obs);
-    let mut report = ServerLoopReport::default();
-    let Some(my_index) = ids.iter().position(|&id| id == ep.id()) else {
+    let Some(me) = ids.iter().position(|&id| id == ep.id()) else {
         metrics.events.error(
             TARGET,
             "own_id_missing",
             "own endpoint id not in the deployment's server set".to_string(),
         );
-        return report;
+        return ServerLoopReport::default();
     };
-    let leader_id = ids[0];
-    let is_leader = my_index == 0;
-    let mut stash = VecDeque::new();
-    let mut known: Vec<NodeId> = ids.to_vec();
-    known.push(driver);
-    let policy = opts.frame_policy;
+    let mut io = Io {
+        ep,
+        ids,
+        me,
+        driver,
+        opts: &opts,
+        metrics,
+        clock: PhaseClock::new(opts.obs.registry(), opts.trace.clone(), me as u64),
+        trace: opts.trace.as_deref(),
+        stash: VecDeque::new(),
+        report: ServerLoopReport::default(),
+    };
+    io.report.clean = serve(server, &mut io).is_ok();
+    io.report.timings = io.clock.timings();
+    io.report
+}
+
+/// The idle loop: waits for the driver's phase-entry messages and
+/// dispatches them. `Ok` is the orderly `Shutdown` exit.
+fn serve<F: FieldElement, A: Afe<F> + Sync>(
+    server: &mut Server<F, A>,
+    io: &mut Io<'_, F>,
+) -> Result<(), Exit> {
+    let (driver, opts) = (io.driver, io.opts);
     // Idempotent ingest: remember recent batch context seeds so a
     // duplicated ClientBatch frame (fault injection, driver retransmit, a
     // lower layer replaying) is discarded instead of double-counted. The
@@ -462,515 +566,118 @@ pub fn run_server_loop<F: FieldElement, A: Afe<F> + Sync>(
     // batch, so equal seed ⇔ same batch.
     let mut seen_batches: HashSet<u64> = HashSet::new();
     let mut seen_order: VecDeque<u64> = VecDeque::new();
-    let retry = &opts.retry;
-    // Trace plumbing: `rec` is None on untraced runs, in which case every
-    // outgoing frame is byte-identical to the pre-tracing encoding.
-    let rec = opts.trace.as_deref();
-    let node = my_index as u64;
 
     loop {
-        let (msg, batch_ctx) = match recv_matching(
-            ep,
-            &mut stash,
-            policy,
-            &known,
-            &metrics,
-            &mut report.frames_dropped,
-            opts.idle_deadline.map(|d| Instant::now() + d),
-            // Phase-entry messages are the driver's alone: a server id (or
-            // a forged one) carrying a ClientBatch/PublishRequest/Shutdown
-            // must not steer the loop.
-            |src, m| {
-                src == driver
-                    && matches!(
-                        m,
-                        ServerMsg::ClientBatch { .. }
-                            | ServerMsg::PublishRequest
-                            | ServerMsg::Shutdown
-                    )
-            },
-        ) {
-            RecvOutcome::Msg(_, msg, ctx) => (msg, ctx),
-            RecvOutcome::Closed | RecvOutcome::Deadline => return report,
-        };
+        // Phase-entry messages are the driver's alone: a server id (or a
+        // forged one) carrying a ClientBatch/PublishRequest/Shutdown must
+        // not steer the loop. Fabric closed or idle deadline: exit.
+        let idle_deadline = opts.idle_deadline.map(|d| Instant::now() + d);
+        let (_, msg, batch_ctx) = io
+            .recv(idle_deadline, |src, m| src == driver && enters_phase(m))
+            .map_err(|_| Exit)?;
         match msg {
             ServerMsg::ClientBatch {
                 ctx_seed,
                 labels,
                 blobs,
             } => {
-                if seen_batches.contains(&ctx_seed) {
-                    metrics.deduped.inc();
-                    report.frames_deduped += 1;
-                    metrics.events.warn(
+                if !seen_batches.insert(ctx_seed) {
+                    io.metrics.deduped.inc();
+                    io.report.frames_deduped += 1;
+                    io.metrics.events.warn(
                         TARGET,
                         "client_batch_deduped",
                         format!("duplicate ClientBatch (ctx_seed {ctx_seed}); already processed"),
                     );
                     continue;
                 }
-                if seen_batches.insert(ctx_seed) {
-                    seen_order.push_back(ctx_seed);
-                    if seen_order.len() > MAX_SEEN_BATCHES {
-                        if let Some(evicted) = seen_order.pop_front() {
-                            seen_batches.remove(&evicted);
-                        }
+                seen_order.push_back(ctx_seed);
+                if seen_order.len() > MAX_SEEN_BATCHES {
+                    if let Some(evicted) = seen_order.pop_front() {
+                        seen_batches.remove(&evicted);
                     }
                 }
                 let deadline = opts.batch_deadline.map(|d| Instant::now() + d);
-                let ctx = match server.make_context(ctx_seed) {
-                    Ok(ctx) => ctx,
-                    Err(e) => {
-                        metrics.events.error(
-                            TARGET,
-                            "context_derivation_failed",
-                            format!("cannot derive verification context: {e:?}"),
-                        );
-                        return report;
-                    }
-                };
-                let count = blobs.len();
-                report.timings.submissions += count as u64;
-                metrics.batch_size.observe(count as u64);
+                let ctx = server.make_context(ctx_seed).map_err(|e| {
+                    io.metrics.events.error(
+                        TARGET,
+                        "context_derivation_failed",
+                        format!("cannot derive verification context: {e:?}"),
+                    );
+                    Exit
+                })?;
+                io.clock.add_submissions(blobs.len() as u64);
+                io.metrics.batch_size.observe(blobs.len() as u64);
                 // Span parentage: the driver's ClientBatch frame carries
                 // its batch-root span id; our unpack chains off it, and
-                // each later phase chains off the previous one. `tctx`
-                // stamps outgoing frames only when tracing is on.
-                let batch_parent = batch_ctx.map(|c| c.parent).unwrap_or(0);
-                let tctx = |parent: u64| rec.map(|_| TraceCtx { trace: ctx_seed, parent });
+                // the engine chains each later phase off the previous one.
+                let batch_parent = batch_ctx.map_or(0, |c| c.parent);
                 // Unpack every submission; parse/unpack failures — and a
                 // labels vector shorter than the blobs vector, possible on
-                // a forged batch — are flagged locally and voted "reject".
-                let span = Span::start(&metrics.phase_unpack);
-                let t_unpack = rec.map_or(0, |r| r.now_us());
-                let mut unpacked: Vec<Option<(Vec<F>, prio_snip::SnipProofShare<F>)>> =
-                    Vec::with_capacity(count);
-                let mut local_ok = vec![true; count];
-                for (j, blob_bytes) in blobs.iter().enumerate() {
-                    let parsed = labels.get(j).and_then(|&label| {
-                        blob_from_bytes::<F>(blob_bytes)
-                            .ok()
-                            .and_then(|blob| server.unpack(&blob, label).ok())
-                    });
-                    if parsed.is_none() {
-                        local_ok[j] = false;
-                    }
-                    unpacked.push(parsed);
-                }
-                report.timings.unpack += span.finish();
-                let unpack_span = rec.map_or(0, |r| {
-                    r.record_span(ctx_seed, batch_parent, node, SpanKind::Unpack, "", t_unpack, r.now_us())
-                });
-
-                // Batched round 1 across the verify pool: one shared
-                // context, per-worker scratch, results merged in
-                // submission order.
-                let span = Span::start(&metrics.phase_round1);
-                let t_round1 = rec.map_or(0, |r| r.now_us());
-                let mut ok_idx: Vec<usize> = Vec::new();
-                let mut items: Vec<(&[F], &prio_snip::SnipProofShare<F>)> = Vec::new();
-                for (j, parsed) in unpacked.iter().enumerate() {
-                    if let Some((x, proof)) = parsed {
-                        ok_idx.push(j);
-                        items.push((x.as_slice(), proof));
-                    }
-                }
-                let results = server.round1_batch(&ctx, &items, opts.verify_threads);
-
-                let mut xs: Vec<Vec<F>> = vec![Vec::new(); count];
-                let mut states: Vec<Option<prio_snip::ServerState<F>>> = vec![None; count];
-                let mut round1 = vec![
-                    Round1Msg {
-                        d: F::zero(),
-                        e: F::zero(),
-                    };
-                    count
-                ];
-                for (k, result) in results.into_iter().enumerate() {
-                    let j = ok_idx[k];
-                    match result {
-                        Ok((st, msg)) => {
-                            states[j] = Some(st);
-                            round1[j] = msg;
-                        }
-                        Err(_) => local_ok[j] = false,
-                    }
-                }
-                for (j, parsed) in unpacked.into_iter().enumerate() {
-                    if let Some((x, _)) = parsed {
-                        xs[j] = x;
-                    }
-                }
-                report.timings.round1 += span.finish();
-                let round1_span = rec.map_or(0, |r| {
-                    r.record_span(ctx_seed, unpack_span, node, SpanKind::Round1, "", t_round1, r.now_us())
-                });
-
-                // A deadline expiry anywhere in the gathers breaks out
-                // with `None`: the batch is abandoned (never accumulated)
-                // and the loop keeps serving. Every server abandons
-                // symmetrically — the leader never sent `Decisions`, so
-                // non-leaders time out too — which is what keeps the
-                // accepted-subset aggregates bit-identical across servers.
-                let decisions: Option<Vec<bool>> = 'gather: {
-                    Some(if is_leader {
-                    // Gather round-1 vectors from the others — one per
-                    // *distinct* peer, so a fault-duplicated vector waits
-                    // in the stash (cleared at the batch boundary) instead
-                    // of impersonating a missing peer's contribution.
-                    let mut all_r1 = vec![round1.clone()];
-                    let mut pending_r1: HashSet<NodeId> = ids[1..].iter().copied().collect();
-                    // A gather-wait span's parent is the *earliest* sender
-                    // span among the frames that fed it (min over received
-                    // ctx parents — deterministic for a deterministic frame
-                    // set); with no traced frame it chains off our own
-                    // round-1 span.
-                    let t_gather1 = rec.map_or(0, |r| r.now_us());
-                    let mut gather1_parent: Option<u64> = None;
-                    while !pending_r1.is_empty() {
-                        let (src, v, fctx) = match recv_matching(
-                            ep,
-                            &mut stash,
-                            policy,
-                            &known,
-                            &metrics,
-                            &mut report.frames_dropped,
-                            deadline,
-                            |src, m| {
-                                pending_r1.contains(&src)
-                                    && matches!(m, ServerMsg::Round1 { ctx, .. } if *ctx == ctx_seed)
-                            },
-                        ) {
-                            RecvOutcome::Msg(src, ServerMsg::Round1 { msgs: v, .. }, fctx) => {
-                                (src, v, fctx)
-                            }
-                            RecvOutcome::Deadline => break 'gather None,
-                            _ => return report,
+                // a forged batch — become `None`, which the engine votes
+                // "reject".
+                let (shares, unpack_span) =
+                    io.clock.time(Phase::Unpack, ctx_seed, batch_parent, || {
+                        let unpack = |(j, bytes): (usize, &Vec<u8>)| {
+                            let blob = blob_from_bytes::<F>(bytes).ok()?;
+                            server.unpack(&blob, *labels.get(j)?).ok()
                         };
-                        pending_r1.remove(&src);
-                        if let Some(c) = fctx {
-                            gather1_parent =
-                                Some(gather1_parent.map_or(c.parent, |g| g.min(c.parent)));
-                        }
-                        // A round-1 vector of the wrong length is a protocol
-                        // violation (or a forgery); abandon the run rather
-                        // than index out of bounds below.
-                        if v.len() != count {
-                            metrics.events.error(
-                                TARGET,
-                                "round1_length_mismatch",
-                                format!(
-                                    "round-1 vector of length {} for a batch of {count}",
-                                    v.len()
-                                ),
-                            );
-                            return report;
-                        }
-                        all_r1.push(v);
-                    }
-                    let gather1_span = rec.map_or(0, |r| {
-                        r.record_span(
-                            ctx_seed,
-                            gather1_parent.unwrap_or(round1_span),
-                            node,
-                            SpanKind::GatherWait,
-                            "round1",
-                            t_gather1,
-                            r.now_us(),
-                        )
+                        blobs.iter().enumerate().map(unpack).collect()
                     });
-                    // Combine per submission and redistribute.
-                    let combined: Vec<Round1Msg<F>> = (0..count)
-                        .map(|j| Round1Msg {
-                            d: all_r1.iter().map(|v| v[j].d).sum(),
-                            e: all_r1.iter().map(|v| v[j].e).sum(),
-                        })
-                        .collect();
-                    let comb_msg = to_traced_bytes(
-                        &ServerMsg::Round1Combined {
-                            ctx: ctx_seed,
-                            msgs: combined.clone(),
-                        },
-                        tctx(gather1_span),
+                let (mut engine, first) = server.begin_batch(
+                    &ctx,
+                    ctx_seed,
+                    shares,
+                    opts.verify_threads,
+                    &io.clock,
+                    unpack_span,
+                );
+                let decided = io.drive(&mut engine, first, ctx_seed, deadline)?;
+                // Decided or abandoned, any round message still stashed (a
+                // fault-duplicated vector from a peer already counted)
+                // belongs to this batch and is dead weight from here on.
+                io.clear_round_stash();
+                if !decided {
+                    io.metrics.batches_abandoned.inc();
+                    io.report.batches_abandoned += 1;
+                    io.metrics.events.warn(
+                        TARGET,
+                        "batch_abandoned",
+                        "mid-batch gather deadline expired; abandoning the batch without accumulating"
+                            .to_string(),
                     );
-                    for &sid in &ids[1..] {
-                        if retry
-                            .run("round1_combined_send", || ep.send(sid, comb_msg.clone()))
-                            .is_err()
-                        {
-                            return report;
-                        }
-                    }
-                    // Own round 2 (batched) plus gathered round 2s.
-                    let span = Span::start(&metrics.phase_round2);
-                    let t_round2 = rec.map_or(0, |r| r.now_us());
-                    let own_r2 = batched_round2(server, &states, &combined);
-                    report.timings.round2 += span.finish();
-                    let round2_span = rec.map_or(0, |r| {
-                        r.record_span(ctx_seed, round1_span, node, SpanKind::Round2, "", t_round2, r.now_us())
-                    });
-                    let mut all_r2 = vec![own_r2];
-                    let mut pending_r2: HashSet<NodeId> = ids[1..].iter().copied().collect();
-                    let t_gather2 = rec.map_or(0, |r| r.now_us());
-                    let mut gather2_parent: Option<u64> = None;
-                    while !pending_r2.is_empty() {
-                        let (src, v, fctx) = match recv_matching(
-                            ep,
-                            &mut stash,
-                            policy,
-                            &known,
-                            &metrics,
-                            &mut report.frames_dropped,
-                            deadline,
-                            |src, m| {
-                                pending_r2.contains(&src)
-                                    && matches!(m, ServerMsg::Round2 { ctx, .. } if *ctx == ctx_seed)
-                            },
-                        ) {
-                            RecvOutcome::Msg(src, ServerMsg::Round2 { msgs: v, .. }, fctx) => {
-                                (src, v, fctx)
-                            }
-                            RecvOutcome::Deadline => break 'gather None,
-                            _ => return report,
-                        };
-                        pending_r2.remove(&src);
-                        if let Some(c) = fctx {
-                            gather2_parent =
-                                Some(gather2_parent.map_or(c.parent, |g| g.min(c.parent)));
-                        }
-                        if v.len() != count {
-                            metrics.events.error(
-                                TARGET,
-                                "round2_length_mismatch",
-                                format!(
-                                    "round-2 vector of length {} for a batch of {count}",
-                                    v.len()
-                                ),
-                            );
-                            return report;
-                        }
-                        all_r2.push(v);
-                    }
-                    let gather2_span = rec.map_or(0, |r| {
-                        r.record_span(
-                            ctx_seed,
-                            gather2_parent.unwrap_or(round2_span),
-                            node,
-                            SpanKind::GatherWait,
-                            "round2",
-                            t_gather2,
-                            r.now_us(),
-                        )
-                    });
-                    let decisions: Vec<bool> = (0..count)
-                        .map(|j| {
-                            let msgs: Vec<_> = all_r2.iter().map(|v| v[j]).collect();
-                            decide(&msgs)
-                        })
-                        .collect();
-                    let dec_msg = to_traced_bytes(
-                        &ServerMsg::<F>::Decisions {
-                            ctx: ctx_seed,
-                            bits: pack_decisions(&decisions),
-                        },
-                        tctx(gather2_span),
-                    );
-                    for &sid in &ids[1..] {
-                        if retry
-                            .run("decisions_send", || ep.send(sid, dec_msg.clone()))
-                            .is_err()
-                        {
-                            return report;
-                        }
-                    }
-                    if retry
-                        .run("decisions_send", || ep.send(driver, dec_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    decisions
-                } else {
-                    let r1_msg = to_traced_bytes(
-                        &ServerMsg::Round1 {
-                            ctx: ctx_seed,
-                            msgs: round1,
-                        },
-                        tctx(round1_span),
-                    );
-                    if retry
-                        .run("round1_send", || ep.send(leader_id, r1_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    // Non-leader gather-waits chain off the leader's sender
-                    // span carried on the frame; a traceless frame falls
-                    // back to our own preceding span so the tree stays
-                    // connected.
-                    let t_wait1 = rec.map_or(0, |r| r.now_us());
-                    let (combined, comb_ctx) = match recv_matching(
-                        ep,
-                        &mut stash,
-                        policy,
-                        &known,
-                        &metrics,
-                        &mut report.frames_dropped,
-                        deadline,
-                        // Only the leader's word counts for the combined
-                        // vector (and for decisions below), and only for
-                        // *this* batch.
-                        |src, m| {
-                            src == leader_id
-                                && matches!(m, ServerMsg::Round1Combined { ctx, .. } if *ctx == ctx_seed)
-                        },
-                    ) {
-                        RecvOutcome::Msg(_, ServerMsg::Round1Combined { msgs: combined, .. }, fctx) => {
-                            (combined, fctx)
-                        }
-                        RecvOutcome::Deadline => break 'gather None,
-                        _ => return report,
-                    };
-                    let _ = rec.map(|r| {
-                        r.record_span(
-                            ctx_seed,
-                            comb_ctx.map_or(round1_span, |c| c.parent),
-                            node,
-                            SpanKind::GatherWait,
-                            "round1combined",
-                            t_wait1,
-                            r.now_us(),
-                        )
-                    });
-                    if combined.len() != count {
-                        metrics.events.error(
-                            TARGET,
-                            "round1_combined_length_mismatch",
-                            format!(
-                                "combined round-1 vector of length {} for a batch of {count}",
-                                combined.len()
-                            ),
-                        );
-                        return report;
-                    }
-                    let span = Span::start(&metrics.phase_round2);
-                    let t_round2 = rec.map_or(0, |r| r.now_us());
-                    let r2 = batched_round2(server, &states, &combined);
-                    report.timings.round2 += span.finish();
-                    let round2_span = rec.map_or(0, |r| {
-                        r.record_span(ctx_seed, round1_span, node, SpanKind::Round2, "", t_round2, r.now_us())
-                    });
-                    let r2_msg = to_traced_bytes(
-                        &ServerMsg::Round2 {
-                            ctx: ctx_seed,
-                            msgs: r2,
-                        },
-                        tctx(round2_span),
-                    );
-                    if retry
-                        .run("round2_send", || ep.send(leader_id, r2_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    let t_wait2 = rec.map_or(0, |r| r.now_us());
-                    let (bits, dec_ctx) = match recv_matching(
-                        ep,
-                        &mut stash,
-                        policy,
-                        &known,
-                        &metrics,
-                        &mut report.frames_dropped,
-                        deadline,
-                        |src, m| {
-                            src == leader_id
-                                && matches!(m, ServerMsg::Decisions { ctx, .. } if *ctx == ctx_seed)
-                        },
-                    ) {
-                        RecvOutcome::Msg(_, ServerMsg::Decisions { bits, .. }, fctx) => (bits, fctx),
-                        RecvOutcome::Deadline => break 'gather None,
-                        _ => return report,
-                    };
-                    let _ = rec.map(|r| {
-                        r.record_span(
-                            ctx_seed,
-                            dec_ctx.map_or(round2_span, |c| c.parent),
-                            node,
-                            SpanKind::GatherWait,
-                            "decisions",
-                            t_wait2,
-                            r.now_us(),
-                        )
-                    });
-                    unpack_decisions(&bits, count)
-                    })
-                };
-                let Some(decisions) = decisions else {
-                    abandon_batch(&mut stash, &metrics, &mut report);
                     continue;
-                };
-                // The batch is decided: any round message still stashed
-                // (a fault-duplicated vector from a peer already counted)
-                // belongs to it and must not leak into the next gather.
-                clear_round_stash(&mut stash, &metrics);
-
-                for (j, &ok) in decisions.iter().enumerate() {
-                    if ok && local_ok[j] {
-                        server.accumulate(&xs[j]);
-                        metrics.accepted.inc();
-                    } else {
-                        server.reject();
-                        // A submission this server could not even parse is
-                        // "malformed"; one that parsed but failed the SNIP
-                        // vote is "verify".
-                        if local_ok[j] {
-                            metrics.rejected_verify.inc();
-                        } else {
-                            metrics.rejected_malformed.inc();
-                        }
-                    }
                 }
+                let (_, counts) = engine.commit(server);
+                io.metrics.accepted.add(counts.accepted);
+                io.metrics.rejected_verify.add(counts.rejected_verify);
+                io.metrics.rejected_malformed.add(counts.rejected_malformed);
             }
             ServerMsg::PublishRequest => {
                 // Everything sent so far is verification-phase traffic; the
                 // accumulator reveal below is the publish phase. Sampling
                 // here gives every deployment flavour the same Figure-6
                 // split without a shared-fabric snapshot.
-                report.verify_bytes_sent = ep.bytes_sent();
-                let span = Span::start(&metrics.phase_publish);
-                let t_publish = rec.map_or(0, |r| r.now_us());
-                let acc = server.accumulator().to_vec();
-                let acc_msg = ServerMsg::Accumulator(acc).to_wire_bytes();
-                let sent = retry.run("publish_send", || ep.send(driver, acc_msg.clone()));
-                report.timings.publish += span.finish();
+                io.report.verify_bytes_sent = io.ep.bytes_sent();
                 // Publish is not tied to any one batch; trace 0 groups the
                 // reveal phase per node without inventing a batch id.
-                let _ = rec.map(|r| {
-                    r.record_span(0, 0, node, SpanKind::Publish, "", t_publish, r.now_us())
-                });
-                if sent.is_err() {
-                    return report;
-                }
+                let reveal = || {
+                    let reveal = ServerMsg::Accumulator(server.accumulator().to_vec());
+                    io.send(&[driver], &reveal, None)
+                };
+                io.clock.time(Phase::Publish, 0, 0, reveal).0?;
             }
-            ServerMsg::Shutdown => {
-                report.clean = true;
-                return report;
-            }
-            // recv_matching only returns the three phase-entry messages
-            // matched above; anything else here means the match filter and
-            // this arm drifted apart. Drop the message and keep serving.
-            other => {
-                metrics.drop_unexpected_kind.inc();
-                report.frames_dropped += 1;
-                metrics.events.warn(
-                    TARGET,
-                    "frame_dropped_unexpected_kind",
-                    format!(
-                        "unexpected {} message at server {my_index}; dropping",
-                        msg_kind(&other)
-                    ),
-                );
-            }
+            ServerMsg::Shutdown => return Ok(()),
+            // `recv` only returns the three phase-entry messages matched
+            // above; anything else here means the match filter and this
+            // arm drifted apart. Drop the message and keep serving.
+            other => io.drop_frame(
+                Dropped::UnexpectedKind,
+                format!(
+                    "unexpected {} message at server; dropping",
+                    msg_kind(&other)
+                ),
+            ),
         }
     }
 }

@@ -114,3 +114,120 @@ fn garbage_flood_is_counted_not_printed() {
         "a 10k flood must trip the rate limiter"
     );
 }
+
+/// One forged frame must not stop a network-facing node: a well-formed
+/// `Round1` of the wrong length, under the follower's (unauthenticated)
+/// id and the live batch's ctx, is the first thing the Lenient leader's
+/// round-1 gather sees. The leader must count it, keep waiting, and
+/// finish the batch on the genuine vector with the reference decisions.
+#[test]
+fn forged_wrong_length_round1_is_dropped_and_the_batch_completes() {
+    use prio_core::{BatchDriver, Client, ClientConfig, Cluster, ShareBlob};
+    use prio_field::FieldElement;
+    use prio_snip::{HForm, Round1Msg, VerifyMode};
+    use rand::SeedableRng;
+
+    // Four submissions, one ballot-stuffed; `Cluster::process` is the
+    // reference for what the deployment must decide.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+    let mut client: Client<Field64, _> = Client::new(SumAfe::new(8), ClientConfig::new(2));
+    let mut subs: Vec<_> = [3u64, 5, 7, 11]
+        .iter()
+        .map(|v| client.submit(v, &mut rng).expect("honest input"))
+        .collect();
+    if let ShareBlob::Explicit(v) = &mut subs[2].blobs[1] {
+        v[0] += Field64::from_u64(999);
+    }
+    let mut reference: Cluster<Field64, _> = Cluster::new(SumAfe::new(8), 2, VerifyMode::FixedPoint);
+    let expect: Vec<bool> = subs.iter().map(|sub| reference.process(sub)).collect();
+    assert_eq!(expect, vec![true, true, false, true]);
+
+    let net = SimNetwork::new();
+    let eps = [net.endpoint(), net.endpoint()];
+    let driver_ep = net.endpoint();
+    let ids: Vec<_> = eps.iter().map(|ep| ep.id()).collect();
+    let driver_id = driver_ep.id();
+
+    // The forgery: the driver's first batch carries ctx_seed 1 (seeds
+    // count up from 1 — which is what lets a stranger guess it), and the
+    // vector is one entry too long. The sim fabric stamps the sender, so
+    // "forge the follower's id" means sending from the follower's own
+    // endpoint before its loop starts; the frame waits in the leader's
+    // stash and is the first candidate its round-1 gather examines.
+    let forged = ServerMsg::Round1 {
+        ctx: 1,
+        msgs: vec![
+            Round1Msg {
+                d: Field64::zero(),
+                e: Field64::zero(),
+            };
+            subs.len() + 1
+        ],
+    };
+    eps[1].send(ids[0], forged.to_wire_bytes()).expect("forged frame queued");
+
+    let registries = [Arc::new(Registry::new()), Arc::new(Registry::new())];
+    let sink = Arc::new(CaptureSink::new());
+    let handles: Vec<_> = eps
+        .into_iter()
+        .zip(&registries)
+        .enumerate()
+        .map(|(index, (ep, registry))| {
+            let ids = ids.clone();
+            let opts = ServerLoopOptions {
+                frame_policy: FramePolicy::Lenient,
+                obs: Obs::new(registry.clone(), Events::new(sink.clone(), Level::Debug)),
+                ..ServerLoopOptions::default()
+            };
+            std::thread::spawn(move || {
+                let mut server = Server::<Field64, _>::new(
+                    SumAfe::new(8),
+                    ServerConfig {
+                        index,
+                        num_servers: 2,
+                        verify_mode: VerifyMode::FixedPoint,
+                        h_form: HForm::PointValue,
+                    },
+                );
+                let report = run_server_loop(&mut server, &ep, &ids, driver_id, opts);
+                (report, server.accepted(), server.rejected(), server.accumulator().to_vec())
+            })
+        })
+        .collect();
+
+    // A bounded driver: if the leader's loop exits on the forgery (the
+    // bug), this surfaces as a timeout instead of a hung test.
+    let mut driver = BatchDriver::<Field64>::new(driver_ep, ids.clone())
+        .with_timeout(std::time::Duration::from_secs(20));
+    let decisions = driver.run_batch(&subs).expect("batch completes despite the forgery");
+    driver.shutdown();
+    assert_eq!(decisions, expect);
+
+    let results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("server loop panicked"))
+        .collect();
+    for (report, accepted, rejected, _) in &results {
+        assert!(report.clean, "loop must survive to the orderly shutdown");
+        assert_eq!((*accepted, *rejected), (3, 1));
+    }
+    assert_eq!(
+        results[0].3[0] + results[1].3[0],
+        Field64::from_u64(3 + 5 + 11),
+        "the aggregate holds exactly the accepted values"
+    );
+
+    // Exactly one drop, on the leader, under its own reason.
+    assert_eq!(results[0].0.frames_dropped, 1);
+    assert_eq!(results[1].0.frames_dropped, 0);
+    let snap = registries[0].snapshot();
+    assert_eq!(
+        snap.counter(names::SERVER_FRAMES_DROPPED, &[("reason", "bad_length")]),
+        Some(1)
+    );
+    assert_eq!(snap.counter_sum(names::SERVER_FRAMES_DROPPED), 1);
+    assert!(sink
+        .events()
+        .iter()
+        .any(|e| e.name == "frame_dropped_bad_length"));
+}

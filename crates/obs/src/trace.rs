@@ -229,7 +229,14 @@ impl TraceRecorder {
 
     /// Microseconds since this recorder's epoch (node-monotonic).
     pub fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+        self.us_at(Instant::now())
+    }
+
+    /// `t` on this recorder's clock: microseconds since its epoch (0 for
+    /// an instant before it). Lets a caller that already read the clock
+    /// place a span without reading it again.
+    pub fn us_at(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Records a span. One relaxed `fetch_add` claims a slot; a claimed
@@ -542,9 +549,12 @@ pub struct CriticalPath {
 
 /// Attributes each batch's wall time: per batch, every node's in-batch
 /// spans split into compute (unpack/round1/round2) and network-wait
-/// (gather-wait); the node with the largest busy time is the critical
-/// node, and its split is what the batch "spent". Spans with trace id 0
-/// (publish, out-of-batch) are excluded.
+/// (gather-wait); the node with the largest busy time *among nodes that
+/// computed in the batch* is the critical node, and its split is what the
+/// batch "spent". A node with no compute span — the driver, whose one
+/// `decisions` wait covers the whole batch — is on nobody's critical
+/// path: picking it would report a batch that computed nothing. Spans
+/// with trace id 0 (publish, out-of-batch) are excluded.
 pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
     use std::collections::BTreeMap;
     // (trace, node) -> (compute, wait); trace -> wall.
@@ -586,6 +596,9 @@ pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
         // The range bound pins the trace component, so only the per-node
         // costs of batch `t` are visible here.
         for (_, &(c, w)) in costs.range((t, 0)..=(t, u64::MAX)) {
+            if c == 0 {
+                continue;
+            }
             let busy = c.saturating_add(w);
             if best.map(|(b, _, _)| busy > b).unwrap_or(true) {
                 best = Some((busy, c, w));
@@ -919,6 +932,26 @@ mod tests {
         assert_eq!(cp.network_wait_us, 600);
         assert_eq!(cp.per_node.len(), 2);
         assert_eq!(cp.per_node[0], NodeCost { node: 0, compute_us: 100, wait_us: 600 });
+    }
+
+    #[test]
+    fn critical_path_never_picks_a_node_that_only_waited() {
+        // The driver (node 3) records one `decisions` wait spanning the
+        // whole batch and no compute; its wait exceeds every server's
+        // compute + wait. It must not be the critical node.
+        let spans = vec![
+            span(1, 3, SpanKind::Batch, "", 0, 0, 1000),
+            span(1, 3, SpanKind::GatherWait, "decisions", 0, 5, 995), // 990us wait
+            span(1, 0, SpanKind::Round1, "", 0, 10, 110),             // 100us compute
+            span(1, 0, SpanKind::GatherWait, "round1", 0, 110, 710),  // 600us wait
+            span(1, 1, SpanKind::Round1, "", 0, 10, 60),              // 50us compute
+        ];
+        let cp = critical_path(&spans);
+        assert_eq!(cp.batches, 1);
+        assert_eq!((cp.compute_us, cp.network_wait_us), (100, 600));
+        // The driver still shows up in the per-node totals.
+        assert_eq!(cp.per_node.len(), 3);
+        assert_eq!(cp.per_node[2], NodeCost { node: 3, compute_us: 0, wait_us: 990 });
     }
 
     #[test]
