@@ -19,6 +19,17 @@ cargo test -q --offline
 echo "==> e2e over the TCP transport"
 cargo test -q --offline --test e2e_tcp
 
+# Byte-path gates, in release like the code they guard. wire_alloc counts
+# heap allocations over a batch's codec and seed-expansion work and fails
+# if the count depends on field elements per submission; prg_bulk replays
+# random scripts of bulk and single PRG draws and fails on any divergence
+# from the one-element-at-a-time stream (every seed share depends on it);
+# coset_h checks the prover's coset-computed h against the 2N evaluation.
+echo "==> byte path: wire allocations, PRG stream identity, coset h (release)"
+cargo test -q --offline --release -p prio_core --test wire_alloc
+cargo test -q --offline --release -p prio_crypto --test prg_bulk
+cargo test -q --offline --release -p prio_snip --test coset_h
+
 # Multi-process e2e: 3- and 5-server pipelines as real OS processes
 # (prio-node × s + prio-submit), tampered submissions rejected, aggregates
 # bit-identical to the in-process cluster, all children exiting cleanly.

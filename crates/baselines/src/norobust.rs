@@ -6,7 +6,7 @@
 //! motivates SNIPs. The gap between this scheme and full Prio is the
 //! "price of robustness" reported in Figure 4 and Table 9.
 
-use prio_crypto::prg::{expand_share, Seed};
+use prio_crypto::prg::{expand_share, Prg, Seed};
 use prio_field::FieldElement;
 
 /// One server's share of a submission: a seed or the explicit residual.
@@ -49,10 +49,7 @@ pub fn client_submission<F: FieldElement, R: rand::Rng + ?Sized>(
     let mut shares = Vec::with_capacity(num_servers);
     for _ in 0..num_servers - 1 {
         let seed = Seed::random(rng);
-        let expanded: Vec<F> = expand_share(&seed, label, residual.len());
-        for (r, e) in residual.iter_mut().zip(expanded) {
-            *r -= e;
-        }
+        Prg::new(&seed, label).subtract_from(&mut residual);
         shares.push(NoRobustShare::Seed(seed));
     }
     shares.push(NoRobustShare::Explicit(residual));

@@ -3,7 +3,7 @@
 use prio_afe::{Afe, AfeError};
 use prio_circuit::Circuit;
 use prio_crypto::ed25519::{Keypair, Point};
-use prio_crypto::prg::{expand_share, Prg, Seed};
+use prio_crypto::prg::{Prg, Seed};
 use prio_crypto::sealed::SessionKey;
 use prio_field::FieldElement;
 use prio_snip::{prove, Domain, HForm, ProveOptions, SnipProofShare};
@@ -141,24 +141,30 @@ impl ShareLayout {
     /// Expands a PRG seed blob into `(x, π)`.
     ///
     /// Draws stream elements in exactly the flattened order
-    /// (`x ‖ u0 ‖ v0 ‖ h ‖ a ‖ b ‖ c`), so the result is identical to
-    /// expanding `flat_len()` elements and unflattening — without the
-    /// intermediate vector and its copy, which showed up in server unpack
-    /// profiles.
+    /// (`x ‖ u0 ‖ v0 ‖ h ‖ a ‖ b ‖ c`) with bulk [`Prg::fill_field_slice`]
+    /// passes, so the result is identical to expanding `flat_len()`
+    /// elements and unflattening — without the intermediate vector and its
+    /// copy, which showed up in server unpack profiles.
     pub fn expand<F: FieldElement>(&self, seed: &Seed, label: u64) -> (Vec<F>, SnipProofShare<F>) {
         let mut prg = Prg::new(seed, label);
-        let x = prg.expand_field_vec(self.x_len);
-        let u0 = prg.next_field();
-        let v0 = prg.next_field();
-        let h = prg.expand_field_vec(self.dom.h_domain());
+        let mut x = vec![F::zero(); self.x_len];
+        let mut masks = [F::zero(); 2];
+        let mut h = vec![F::zero(); self.dom.h_domain()];
+        let mut triple = [F::zero(); 3];
+        prg.fill_field_slice(&mut x);
+        prg.fill_field_slice(&mut masks);
+        prg.fill_field_slice(&mut h);
+        prg.fill_field_slice(&mut triple);
+        let [u0, v0] = masks;
+        let [a, b, c] = triple;
         let proof = SnipProofShare {
             u0,
             v0,
             h,
             h_form: self.h_form,
-            a: prg.next_field(),
-            b: prg.next_field(),
-            c: prg.next_field(),
+            a,
+            b,
+            c,
         };
         (x, proof)
     }
@@ -224,15 +230,11 @@ impl<F: FieldElement, A: Afe<F>> Client<F, A> {
             let full_proof = prove(&self.circuit, &encoding, 1, opts, rng)
                 .pop()
                 .expect("one share requested");
-            let flat = layout.flatten(&encoding, &full_proof);
-            let mut residual = flat;
+            let mut residual = layout.flatten(&encoding, &full_proof);
             let mut blobs = Vec::with_capacity(s);
             for _ in 0..s - 1 {
                 let seed = Seed::random(rng);
-                let expanded: Vec<F> = expand_share(&seed, label, residual.len());
-                for (r, e) in residual.iter_mut().zip(expanded) {
-                    *r -= e;
-                }
+                Prg::new(&seed, label).subtract_from(&mut residual);
                 blobs.push(ShareBlob::Seed(seed));
             }
             blobs.push(ShareBlob::Explicit(residual));

@@ -14,7 +14,13 @@ use prio_snip::{Round1Msg, Round2Msg};
 
 /// Serializes a share blob (`0x00 seed` | `0x01 field-vec`).
 pub fn blob_to_bytes<F: FieldElement>(blob: &ShareBlob<F>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    // The tag and payload, plus an explicit vector's length prefix.
+    let prefix = if matches!(blob, ShareBlob::Explicit(_)) {
+        4
+    } else {
+        0
+    };
+    let mut buf = Vec::with_capacity(blob.encoded_len() + prefix);
     match blob {
         ShareBlob::Seed(seed) => {
             buf.put_u8(0);
@@ -124,6 +130,24 @@ const TAG_CLIENT_BATCH: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 
 impl<F: FieldElement> Wire for ServerMsg<F> {
+    fn encoded_len(&self) -> usize {
+        // Tag, then per variant: the `u64` ctx/seed fields and each
+        // vector's `u32` length prefix plus payload.
+        1 + match self {
+            ServerMsg::BatchStart { .. } => 16,
+            ServerMsg::Round1 { msgs, .. } | ServerMsg::Round1Combined { msgs, .. } => {
+                8 + 4 + msgs.len() * 2 * F::ENCODED_LEN
+            }
+            ServerMsg::Round2 { msgs, .. } => 8 + 4 + msgs.len() * 2 * F::ENCODED_LEN,
+            ServerMsg::Decisions { bits, .. } => 8 + 4 + bits.len(),
+            ServerMsg::PublishRequest | ServerMsg::Shutdown => 0,
+            ServerMsg::Accumulator(v) => 4 + v.len() * F::ENCODED_LEN,
+            ServerMsg::ClientBatch { labels, blobs, .. } => {
+                8 + 4 + labels.len() * 8 + 4 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>()
+            }
+        }
+    }
+
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             ServerMsg::BatchStart { ctx_seed, count } => {
@@ -357,7 +381,24 @@ mod tests {
         ];
         for m in msgs {
             let bytes = m.to_wire_bytes();
+            assert_eq!(bytes.len(), m.encoded_len(), "{m:?}");
             assert_eq!(ServerMsg::<Field64>::from_wire_bytes(&bytes), Ok(m));
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_batches_and_bare_tags() {
+        let batch: ServerMsg<Field64> = ServerMsg::ClientBatch {
+            ctx_seed: 3,
+            labels: vec![1, 2, 3],
+            blobs: vec![
+                vec![],
+                vec![7; 5],
+                blob_to_bytes(&ShareBlob::Explicit(vec![Field64::one(); 9])),
+            ],
+        };
+        for m in [batch, ServerMsg::Shutdown, ServerMsg::PublishRequest] {
+            assert_eq!(m.to_wire_bytes().len(), m.encoded_len(), "{m:?}");
         }
     }
 

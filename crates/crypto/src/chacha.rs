@@ -39,31 +39,55 @@ pub fn permute(state: &mut [u32; 16]) {
     }
 }
 
-/// Computes one 64-byte ChaCha20 keystream block.
-pub fn block(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; BLOCK_LEN]) {
+/// The 16-word input state for `(key, counter, nonce)`: constants, key
+/// words, block counter (word 12), nonce words.
+fn input_state(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&CONSTANTS);
-    for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
-    let initial = state;
+    state
+}
+
+/// Writes the keystream block of input state `input` into the 64 bytes of
+/// `out`: the permutation plus the feed-forward addition.
+#[inline]
+fn keystream_block(input: &[u32; 16], out: &mut [u8]) {
+    let mut state = *input;
     permute(&mut state);
-    for (i, word) in state.iter().enumerate() {
-        let v = word.wrapping_add(initial[i]);
-        out[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    for ((bytes, word), init) in out.chunks_exact_mut(4).zip(state).zip(input) {
+        bytes.copy_from_slice(&word.wrapping_add(*init).to_le_bytes());
     }
+}
+
+/// Computes one 64-byte ChaCha20 keystream block.
+pub fn block(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; BLOCK_LEN]) {
+    keystream_block(&input_state(key, counter, nonce), out);
+}
+
+/// Writes the block at `state`'s counter into `out` and steps the counter.
+///
+/// # Panics
+/// Panics if the 32-bit block counter would wrap (after 256 GiB).
+#[inline]
+fn next_block(state: &mut [u32; 16], out: &mut [u8]) {
+    keystream_block(state, out);
+    state[12] = state[12]
+        .checked_add(1)
+        .expect("ChaCha20 block counter exhausted");
 }
 
 /// An incremental ChaCha20 keystream generator / stream cipher.
 #[derive(Clone)]
 pub struct ChaCha20 {
-    key: [u8; 32],
-    nonce: [u8; 12],
-    counter: u32,
+    /// The input state of the next block; key and nonce are parsed into
+    /// words once, at construction.
+    state: [u32; 16],
     buf: [u8; BLOCK_LEN],
     /// Bytes of `buf` already consumed.
     used: usize,
@@ -73,9 +97,7 @@ impl ChaCha20 {
     /// Creates a keystream starting at block counter `counter`.
     pub fn new(key: &[u8; 32], nonce: &[u8; 12], counter: u32) -> Self {
         ChaCha20 {
-            key: *key,
-            nonce: *nonce,
-            counter,
+            state: input_state(key, counter, nonce),
             buf: [0; BLOCK_LEN],
             used: BLOCK_LEN,
         }
@@ -83,27 +105,26 @@ impl ChaCha20 {
 
     /// Fills `out` with keystream bytes.
     ///
+    /// Serves what is left of the buffered block first, then writes whole
+    /// blocks straight into `out`, and buffers only the last partial block.
+    /// The stream is the same however a read is split into calls.
+    ///
     /// # Panics
     /// Panics if the 32-bit block counter would wrap (after 256 GiB).
     pub fn fill(&mut self, out: &mut [u8]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if self.used == BLOCK_LEN {
-                block(&self.key, self.counter, &self.nonce, &mut self.buf);
-                self.counter = self
-                    .counter
-                    .checked_add(1)
-                    .expect("ChaCha20 block counter exhausted");
-                self.used = 0;
-            }
-            // Bulk-copy as much of the buffered block as the caller needs —
-            // share expansion requests keystream in field-element-sized
-            // nibbles, and a per-byte loop here was a measurable fraction
-            // of server unpack time.
-            let take = (BLOCK_LEN - self.used).min(out.len() - filled);
-            out[filled..filled + take].copy_from_slice(&self.buf[self.used..self.used + take]);
-            self.used += take;
-            filled += take;
+        let take = (BLOCK_LEN - self.used).min(out.len());
+        let (head, rest) = out.split_at_mut(take);
+        head.copy_from_slice(&self.buf[self.used..self.used + take]);
+        self.used += take;
+        let mut blocks = rest.chunks_exact_mut(BLOCK_LEN);
+        for block in &mut blocks {
+            next_block(&mut self.state, block);
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            next_block(&mut self.state, &mut self.buf);
+            tail.copy_from_slice(&self.buf[..tail.len()]);
+            self.used = tail.len();
         }
     }
 

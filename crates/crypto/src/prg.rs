@@ -7,12 +7,32 @@
 //! explicitly, cutting the upload to `L + O(1)` elements. [`Prg`] is that
 //! expander, built on ChaCha20, with field-element output via rejection
 //! sampling so the shares are uniform in `F_p`.
+//!
+//! # The stream is the contract
+//!
+//! Field element `k` of an expansion is the `k`-th `ENCODED_LEN`-byte
+//! block of the ChaCha20 keystream that reads as a canonical residue;
+//! blocks that encode a value `>= p` are skipped. [`Prg::next_field`] draws
+//! one element that way. [`Prg::fill_field_slice`] draws many in bulk: each
+//! pass pulls exactly `remaining · ENCODED_LEN` keystream bytes (capped by a
+//! stack buffer), keeps the survivors in order, and repeats for the elements
+//! rejections left missing. A pass never reads past what sequential
+//! `next_field` calls would have consumed, so the two paths yield the same
+//! elements and leave the stream at the same offset: any interleaving of
+//! bulk draws, `next_field` and [`Prg::fill_bytes`] is bit-identical to the
+//! one-element-at-a-time reading. Seeds on the wire, fault plans and
+//! replayed schedules all depend on that. The speed comes from consuming
+//! the same ChaCha20 stream in whole blocks, never from a cheaper
+//! generator.
 
 use crate::chacha::ChaCha20;
 use prio_field::FieldElement;
 
 /// Length of a PRG seed in bytes.
 pub const SEED_LEN: usize = 32;
+
+/// Keystream bytes one bulk pass may pull: 64 ChaCha20 blocks.
+const PASS_BYTES: usize = 4096;
 
 /// A PRG seed: the compressed representation of a share vector.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -63,10 +83,49 @@ impl Prg {
         }
     }
 
+    /// Fills `out` with the next `out.len()` uniform field elements — the
+    /// same elements, in the same order, as that many [`Prg::next_field`]
+    /// calls, and leaving the stream at the same offset (see the module
+    /// docs).
+    pub fn fill_field_slice<F: FieldElement>(&mut self, out: &mut [F]) {
+        self.draw_fields(out.len(), |i, x| out[i] = x);
+    }
+
+    /// Draws the next `n` uniform field elements in bulk passes, handing
+    /// each to `sink` with its index.
+    fn draw_fields<F: FieldElement>(&mut self, n: usize, mut sink: impl FnMut(usize, F)) {
+        let mut bytes = [0u8; PASS_BYTES];
+        let per_pass = PASS_BYTES / F::ENCODED_LEN;
+        let mut drawn = 0;
+        while drawn < n {
+            // One candidate block per missing element: even if every one
+            // survives, sequential draws would have read all of them.
+            let want = (n - drawn).min(per_pass);
+            let pass = &mut bytes[..want * F::ENCODED_LEN];
+            self.stream.fill(pass);
+            for candidate in pass.chunks_exact(F::ENCODED_LEN) {
+                if let Some(x) = F::read_le_bytes(candidate) {
+                    sink(drawn, x);
+                    drawn += 1;
+                }
+            }
+        }
+    }
+
     /// Expands the seed into a length-`n` vector of uniform field elements —
     /// the PRG-compressed share vector of Appendix I.
     pub fn expand_field_vec<F: FieldElement>(&mut self, n: usize) -> Vec<F> {
-        (0..n).map(|_| self.next_field()).collect()
+        let mut v = vec![F::zero(); n];
+        self.fill_field_slice(&mut v);
+        v
+    }
+
+    /// Subtracts the next `xs.len()` stream elements from `xs` in place:
+    /// one PRG-compressed share peeled off the residual, with no vector per
+    /// seed. After `xs -= expansion(seed)`, the seed and the residual are
+    /// two additive shares of the old `xs`.
+    pub fn subtract_from<F: FieldElement>(&mut self, xs: &mut [F]) {
+        self.draw_fields(xs.len(), |i, e: F| xs[i] -= e);
     }
 }
 
@@ -109,29 +168,6 @@ impl rand::RngCore for PrgRng {
     }
 }
 
-/// Splits `xs` into `n` shares where the first `n − 1` are PRG seeds and the
-/// last is the explicit residual vector; returns `(seeds, residual)`.
-///
-/// Reconstruction: share `i < n−1` is `Prg::new(&seeds[i], label).expand…`,
-/// and all `n` share vectors sum to `xs`.
-pub fn share_with_prg<F: FieldElement, R: rand::Rng + ?Sized>(
-    xs: &[F],
-    n: usize,
-    label: u64,
-    rng: &mut R,
-) -> (Vec<Seed>, Vec<F>) {
-    assert!(n >= 1, "need at least one share");
-    let seeds: Vec<Seed> = (0..n - 1).map(|_| Seed::random(rng)).collect();
-    let mut residual = xs.to_vec();
-    for seed in &seeds {
-        let mut prg = Prg::new(seed, label);
-        for r in residual.iter_mut() {
-            *r -= prg.next_field::<F>();
-        }
-    }
-    (seeds, residual)
-}
-
 /// Expands one PRG share back into its vector form.
 pub fn expand_share<F: FieldElement>(seed: &Seed, label: u64, n: usize) -> Vec<F> {
     Prg::new(seed, label).expand_field_vec(n)
@@ -159,12 +195,30 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Splits `xs` into `n` shares: `n − 1` seeds and the explicit residual.
+    fn share_with_seeds<F: FieldElement>(
+        xs: &[F],
+        n: usize,
+        label: u64,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (Vec<Seed>, Vec<F>) {
+        let mut residual = xs.to_vec();
+        let seeds: Vec<Seed> = (1..n)
+            .map(|_| {
+                let seed = Seed::random(rng);
+                Prg::new(&seed, label).subtract_from(&mut residual);
+                seed
+            })
+            .collect();
+        (seeds, residual)
+    }
+
     #[test]
     fn prg_shares_reconstruct() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let xs: Vec<Field128> = (0..50).map(|_| Field128::random(&mut rng)).collect();
         for n in 1..=5 {
-            let (seeds, residual) = share_with_prg(&xs, n, 7, &mut rng);
+            let (seeds, residual) = share_with_seeds(&xs, n, 7, &mut rng);
             assert_eq!(seeds.len(), n - 1);
             let mut sum = residual.clone();
             for seed in &seeds {
@@ -224,7 +278,7 @@ mod tests {
         // instead of n explicit vectors.
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let xs: Vec<Field64> = (0..1000).map(|_| Field64::random(&mut rng)).collect();
-        let (seeds, residual) = share_with_prg(&xs, 5, 0, &mut rng);
+        let (seeds, residual) = share_with_seeds(&xs, 5, 0, &mut rng);
         let compressed = seeds.len() * SEED_LEN + residual.len() * 8;
         let naive = 5 * xs.len() * 8;
         assert!(compressed * 4 < naive, "{compressed} vs {naive}");

@@ -3,6 +3,20 @@
 //! Hand-rolled (rather than derived) so message sizes are byte-exact and
 //! stable: Figure 6's bandwidth numbers are measured off these encodings.
 //! All integers are little-endian; vectors are length-prefixed with `u32`.
+//!
+//! # Field elements in bulk
+//!
+//! A field element is its canonical little-endian residue, `ENCODED_LEN`
+//! bytes, and a decoder rejects any residue `>= p`. A `ClientBatch` carries
+//! megabytes of them, so the codec never allocates per element:
+//! [`put_field`]/[`get_field`] stage one element in a stack buffer,
+//! [`put_field_vec`] encodes a vector through a stack block of whole
+//! elements, and [`get_field_vec`] decodes straight out of the input's
+//! contiguous bytes ([`Buf::chunk`]) with one canonical-range check per
+//! element and a single [`Buf::advance`], falling back to the per-element
+//! path only for a segmented buffer. [`Wire::to_wire_bytes`] and
+//! [`to_traced_bytes`] size their output from [`Wire::encoded_len`] once,
+//! instead of growing it by doubling. The bytes are the same on every path.
 
 use bytes::{Buf, BufMut};
 use prio_field::FieldElement;
@@ -26,9 +40,16 @@ pub trait Wire: Sized {
     /// Decodes a value, consuming bytes from `buf`.
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError>;
 
+    /// Length in bytes of the encoding of `self`, used to size output
+    /// buffers up front. Types that override it must return the exact
+    /// length; the default, 0, means "not known" and only costs regrowth.
+    fn encoded_len(&self) -> usize {
+        0
+    }
+
     /// Convenience: encodes into a fresh vector.
     fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::new();
+        let mut v = Vec::with_capacity(self.encoded_len());
         self.encode(&mut v);
         v
     }
@@ -142,6 +163,9 @@ impl Wire for Vec<u8> {
 /// Tag byte opening a trace-context suffix (see [`to_traced_bytes`]).
 pub const TRACE_SUFFIX_CTX: u8 = 1;
 
+/// Length of a trace-context suffix: the tag and the `(trace, parent)` pair.
+const TRACE_SUFFIX_LEN: usize = 17;
+
 /// Encodes `msg` with an optional per-batch trace-context suffix: the
 /// canonical encoding, then — only when tracing — a tag byte and the
 /// `(trace, parent)` pair. With `ctx = None` the bytes are *identical*
@@ -149,7 +173,9 @@ pub const TRACE_SUFFIX_CTX: u8 = 1;
 /// frame sizes Figure 6 measures, and traced frames stay decodable by
 /// the suffix-aware reader everywhere.
 pub fn to_traced_bytes<W: Wire>(msg: &W, ctx: Option<prio_obs::TraceCtx>) -> Vec<u8> {
-    let mut v = msg.to_wire_bytes();
+    let suffix = if ctx.is_some() { TRACE_SUFFIX_LEN } else { 0 };
+    let mut v = Vec::with_capacity(msg.encoded_len() + suffix);
+    msg.encode(&mut v);
     if let Some(ctx) = ctx {
         v.put_u8(TRACE_SUFFIX_CTX);
         v.put_u64_le(ctx.trace);
@@ -167,7 +193,7 @@ pub fn from_traced_bytes<W: Wire>(mut bytes: &[u8]) -> Result<(W, Option<prio_ob
     if !bytes.has_remaining() {
         return Ok((msg, None));
     }
-    if bytes.remaining() != 17 || u8::decode(&mut bytes)? != TRACE_SUFFIX_CTX {
+    if bytes.remaining() != TRACE_SUFFIX_LEN || u8::decode(&mut bytes)? != TRACE_SUFFIX_CTX {
         return Err(WireError("malformed trace suffix"));
     }
     let trace = u64::decode(&mut bytes)?;
@@ -175,11 +201,19 @@ pub fn from_traced_bytes<W: Wire>(mut bytes: &[u8]) -> Result<(W, Option<prio_ob
     Ok((msg, Some(prio_obs::TraceCtx { trace, parent })))
 }
 
+/// Widest field encoding the stack buffers below hold (`Field256`: 32).
+const MAX_FIELD_LEN: usize = 64;
+
+/// Bytes of elements [`put_field_vec`] stages per `put_slice`.
+const PUT_BLOCK: usize = 4096;
+
 /// Encodes a field element (canonical little-endian residue).
 pub fn put_field<F: FieldElement, B: BufMut>(buf: &mut B, x: F) {
-    let mut tmp = vec![0u8; F::ENCODED_LEN];
-    x.write_le_bytes(&mut tmp);
-    buf.put_slice(&tmp);
+    let mut tmp = [0u8; MAX_FIELD_LEN];
+    if let Some(tmp) = tmp.get_mut(..F::ENCODED_LEN) {
+        x.write_le_bytes(tmp);
+        buf.put_slice(tmp);
+    }
 }
 
 /// Decodes a field element, rejecting non-canonical residues.
@@ -187,26 +221,53 @@ pub fn get_field<F: FieldElement, B: Buf>(buf: &mut B) -> Result<F, WireError> {
     if buf.remaining() < F::ENCODED_LEN {
         return Err(WireError("truncated field element"));
     }
-    let mut tmp = vec![0u8; F::ENCODED_LEN];
-    buf.copy_to_slice(&mut tmp);
-    F::read_le_bytes(&tmp).ok_or(WireError("non-canonical field element"))
+    let mut tmp = [0u8; MAX_FIELD_LEN];
+    let tmp = tmp
+        .get_mut(..F::ENCODED_LEN)
+        .ok_or(WireError("field element wider than the codec buffer"))?;
+    buf.copy_to_slice(tmp);
+    F::read_le_bytes(tmp).ok_or(WireError("non-canonical field element"))
 }
 
-/// Encodes a field-element vector with a length prefix.
+/// Encodes a field-element vector with a length prefix, a stack block of
+/// whole elements per `put_slice`.
 pub fn put_field_vec<F: FieldElement, B: BufMut>(buf: &mut B, xs: &[F]) {
     put_len(buf, xs.len());
-    for &x in xs {
-        put_field(buf, x);
+    let mut block = [0u8; PUT_BLOCK];
+    for elems in xs.chunks((PUT_BLOCK / F::ENCODED_LEN).max(1)) {
+        if let Some(bytes) = block.get_mut(..elems.len() * F::ENCODED_LEN) {
+            for (x, out) in elems.iter().zip(bytes.chunks_exact_mut(F::ENCODED_LEN)) {
+                x.write_le_bytes(out);
+            }
+            buf.put_slice(bytes);
+        }
     }
 }
 
-/// Decodes a length-prefixed field-element vector.
+/// Decodes a length-prefixed field-element vector, rejecting a truncated
+/// vector or any non-canonical element.
 pub fn get_field_vec<F: FieldElement, B: Buf>(buf: &mut B) -> Result<Vec<F>, WireError> {
     let len = get_len(buf)?;
     if buf.remaining() < len.saturating_mul(F::ENCODED_LEN) {
         return Err(WireError("truncated field vector"));
     }
-    (0..len).map(|_| get_field(buf)).collect()
+    let byte_len = len * F::ENCODED_LEN;
+    let mut out = Vec::with_capacity(len);
+    match buf.chunk().get(..byte_len) {
+        Some(bytes) => {
+            for elem in bytes.chunks_exact(F::ENCODED_LEN) {
+                out.push(F::read_le_bytes(elem).ok_or(WireError("non-canonical field element"))?);
+            }
+            buf.advance(byte_len);
+        }
+        // A segmented buffer: element by element across the seams.
+        None => {
+            for _ in 0..len {
+                out.push(get_field(buf)?);
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

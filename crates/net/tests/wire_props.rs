@@ -7,7 +7,7 @@
 //! must produce a clean `WireError`, never a wrong value, a panic, or an
 //! unbounded allocation.
 
-use prio_field::{Field128, Field64, FieldElement};
+use prio_field::{Field128, Field32, Field64, FieldElement};
 use prio_net::tcp::{decode_frame_header, encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use prio_net::wire::{get_field, get_field_vec, put_field, put_field_vec, Wire, WireError};
 use prio_net::NodeId;
@@ -151,5 +151,139 @@ proptest! {
         let bad_len = (MAX_FRAME_LEN as u64 + excess) as u32;
         header[8..].copy_from_slice(&bad_len.to_le_bytes());
         prop_assert!(decode_frame_header(&header).is_none());
+    }
+}
+
+// ---- bulk field-vector decoder ------------------------------------------
+
+/// `n` random elements of `F`, their length-prefixed encoding.
+fn encoded_vec<F: FieldElement>(seed: u64, n: usize) -> (Vec<F>, Vec<u8>) {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let xs: Vec<F> = (0..n).map(|_| F::random(&mut rng)).collect();
+    let mut buf = Vec::new();
+    put_field_vec(&mut buf, &xs);
+    (xs, buf)
+}
+
+/// The encoding of `p + offset`: the largest canonical residue `p − 1`,
+/// plus `1 + offset`, carried through the little-endian bytes. Every field
+/// here has at least 2³⁰ non-canonical values above `p`.
+fn non_canonical<F: FieldElement>(offset: u8) -> Vec<u8> {
+    let mut bytes = vec![0u8; F::ENCODED_LEN];
+    (-F::one()).write_le_bytes(&mut bytes);
+    let mut carry = 1 + u16::from(offset);
+    for b in bytes.iter_mut() {
+        let sum = u16::from(*b) + carry;
+        *b = sum as u8;
+        carry = sum >> 8;
+    }
+    assert_eq!(carry, 0, "p + offset overflowed the encoding");
+    bytes
+}
+
+/// A two-segment buffer whose `chunk()` holds only the current segment, to
+/// exercise the decoder's path for non-contiguous input.
+struct TwoSegments<'a> {
+    head: &'a [u8],
+    tail: &'a [u8],
+}
+
+impl bytes::Buf for TwoSegments<'_> {
+    fn remaining(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        for byte in dst.iter_mut() {
+            *byte = self.chunk()[0];
+            self.advance(1);
+        }
+    }
+    fn chunk(&self) -> &[u8] {
+        if self.head.is_empty() {
+            self.tail
+        } else {
+            self.head
+        }
+    }
+    fn advance(&mut self, cnt: usize) {
+        for _ in 0..cnt {
+            if self.head.is_empty() {
+                self.tail = &self.tail[1..];
+            } else {
+                self.head = &self.head[1..];
+            }
+        }
+    }
+}
+
+/// Checks the bulk decoder on one random vector: a non-canonical element
+/// at index `k` is a typed error; every truncation is a typed error; and a
+/// buffer split at `split` decodes to the same vector as a contiguous one.
+fn bulk_decoder_properties<F: FieldElement>(
+    seed: u64,
+    n: usize,
+    k: usize,
+    offset: u8,
+    split: usize,
+) {
+    let (xs, good) = encoded_vec::<F>(seed, n);
+    let k = k % n;
+    let mut bad = good.clone();
+    let at = 4 + k * F::ENCODED_LEN;
+    bad[at..at + F::ENCODED_LEN].copy_from_slice(&non_canonical::<F>(offset));
+    let mut slice = bad.as_slice();
+    assert_eq!(
+        get_field_vec::<F, _>(&mut slice),
+        Err(WireError("non-canonical field element")),
+        "{}: n = {n}, non-canonical element {k}",
+        F::NAME
+    );
+    for cut in 0..good.len() {
+        let mut short = &good[..cut];
+        let err = get_field_vec::<F, _>(&mut short).expect_err("a truncated vector decoded");
+        assert!(
+            err.0.starts_with("truncated"),
+            "{}: cut {cut}: {err}",
+            F::NAME
+        );
+    }
+    let split = split % (good.len() + 1);
+    let mut segments = TwoSegments {
+        head: &good[..split],
+        tail: &good[split..],
+    };
+    assert_eq!(
+        get_field_vec::<F, _>(&mut segments),
+        Ok(xs),
+        "{}: split at {split}",
+        F::NAME
+    );
+    let mut bad_segments = TwoSegments {
+        head: &bad[..split],
+        tail: &bad[split..],
+    };
+    assert_eq!(
+        get_field_vec::<F, _>(&mut bad_segments),
+        Err(WireError("non-canonical field element")),
+        "{}: split at {split}, non-canonical element {k}",
+        F::NAME
+    );
+}
+
+proptest! {
+    #[test]
+    fn bulk_decoder_rejects_bad_field32_vectors(seed in any::<u64>(), n in 1usize..300, k in any::<usize>(), offset in any::<u8>(), split in any::<usize>()) {
+        bulk_decoder_properties::<Field32>(seed, n, k, offset, split);
+    }
+
+    #[test]
+    fn bulk_decoder_rejects_bad_field64_vectors(seed in any::<u64>(), n in 1usize..300, k in any::<usize>(), offset in any::<u8>(), split in any::<usize>()) {
+        bulk_decoder_properties::<Field64>(seed, n, k, offset, split);
+    }
+
+    #[test]
+    fn bulk_decoder_rejects_bad_field128_vectors(seed in any::<u64>(), n in 1usize..300, k in any::<usize>(), offset in any::<u8>(), split in any::<usize>()) {
+        bulk_decoder_properties::<Field128>(seed, n, k, offset, split);
     }
 }

@@ -3,7 +3,8 @@
 use crate::beaver::BeaverTriple;
 use crate::{Domain, HForm, SnipProofShare};
 use prio_circuit::Circuit;
-use prio_field::poly::{evaluate_pow2, interpolate_pow2};
+use prio_field::ntt::NttPlan;
+use prio_field::poly::interpolate_pow2;
 use prio_field::{share_additive, share_additive_vec, FieldElement};
 
 /// Prover configuration.
@@ -24,7 +25,8 @@ pub struct ProveOptions {
 ///   verification, which is what gives the protocol its zero-knowledge
 ///   property (Appendix D.2 shows the simulation fails without them);
 /// * interpolate `f` (through the `u`s) and `g` (through the `v`s) on the
-///   size-`N` domain, compute `h = f·g` on the size-`2N` domain;
+///   size-`N` domain, compute `h = f·g` on the size-`2N` domain (its even
+///   points are `u_t·v_t`, its odd points a size-`N` coset transform);
 /// * sample a Beaver triple and additively share everything.
 ///
 /// For `M = 0` (purely affine predicates) the polynomial machinery
@@ -75,18 +77,30 @@ pub fn prove<F: FieldElement, R: rand::Rng + ?Sized>(
     u[1..=dom.m].copy_from_slice(&trace.mul_left);
     v[1..=dom.m].copy_from_slice(&trace.mul_right);
 
-    let f_coeffs = interpolate_pow2(&u);
-    let g_coeffs = interpolate_pow2(&v);
-
     // h = f·g in point-value form on the 2N domain (degree ≤ 2N−2 < 2N, so
-    // the evaluations determine h exactly).
-    let f_on_2n = evaluate_pow2(&f_coeffs, 2 * dom.n);
-    let g_on_2n = evaluate_pow2(&g_coeffs, 2 * dom.n);
-    let h_evals: Vec<F> = f_on_2n
-        .iter()
-        .zip(&g_on_2n)
-        .map(|(&a, &b)| a * b)
-        .collect();
+    // the evaluations determine h exactly). The even points ω₂N^{2t} are
+    // the N domain, where f and g are u and v themselves. The odd points
+    // ω₂N·ω_N^t are the coset ω₂N·⟨ω_N⟩: f(ω₂N·ω_N^t) is the size-N NTT of
+    // the twisted coefficients c_i·ω₂N^i. Two size-N transforms per
+    // polynomial, instead of a size-2N forward transform.
+    let plan_n = NttPlan::<F>::get(dom.n);
+    let plan_2n = NttPlan::<F>::get(2 * dom.n);
+    let on_odd_points = |evals: &[F]| {
+        let mut coeffs = evals.to_vec();
+        plan_n.inverse(&mut coeffs);
+        for (c, &w) in coeffs.iter_mut().zip(plan_2n.domain()) {
+            *c *= w;
+        }
+        plan_n.forward(&mut coeffs);
+        coeffs
+    };
+    let f_odd = on_odd_points(&u);
+    let g_odd = on_odd_points(&v);
+    let mut h_evals = Vec::with_capacity(2 * dom.n);
+    for t in 0..dom.n {
+        h_evals.push(u[t] * v[t]);
+        h_evals.push(f_odd[t] * g_odd[t]);
+    }
 
     let h_payload = match opts.h_form {
         HForm::PointValue => h_evals,

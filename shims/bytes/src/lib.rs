@@ -23,6 +23,17 @@ pub trait Buf {
     /// Copies `dst.len()` bytes into `dst`, consuming them.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
+    /// The readable bytes that are contiguous from the cursor: all of
+    /// [`Buf::remaining`] for a slice, possibly fewer for a segmented
+    /// buffer. Does not consume.
+    fn chunk(&self) -> &[u8];
+
+    /// Consumes `cnt` bytes without copying them.
+    ///
+    /// # Panics
+    /// Panics if `cnt > self.remaining()`.
+    fn advance(&mut self, cnt: usize);
+
     /// True if any bytes are left.
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
@@ -66,6 +77,20 @@ impl Buf for &[u8] {
         dst.copy_from_slice(head);
         *self = tail;
     }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(
+            cnt <= self.len(),
+            "buffer underflow: need {} bytes, have {}",
+            cnt,
+            self.len()
+        );
+        *self = &self[cnt..];
+    }
 }
 
 impl<B: Buf + ?Sized> Buf for &mut B {
@@ -74,6 +99,12 @@ impl<B: Buf + ?Sized> Buf for &mut B {
     }
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         (**self).copy_to_slice(dst)
+    }
+    fn chunk(&self) -> &[u8] {
+        (**self).chunk()
+    }
+    fn advance(&mut self, cnt: usize) {
+        (**self).advance(cnt)
     }
     fn get_u8(&mut self) -> u8 {
         (**self).get_u8()
@@ -148,6 +179,29 @@ mod tests {
         r.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"xyz");
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    fn chunk_and_advance_skip_without_copying() {
+        // Generic, so `&mut r` goes through the `&mut B` forwarding impl.
+        fn skip_two<B: Buf>(mut buf: B) -> Vec<u8> {
+            buf.advance(2);
+            buf.chunk().to_vec()
+        }
+        let data = [1u8, 2, 3, 4, 5];
+        let mut r: &[u8] = &data;
+        assert_eq!(r.chunk(), &[1, 2, 3, 4, 5]);
+        assert_eq!(skip_two(&mut r), [3, 4, 5]);
+        assert_eq!(r.get_u8(), 3);
+        r.advance(2);
+        assert!(!r.has_remaining());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn advance_past_the_end_panics() {
+        let mut r: &[u8] = &[1, 2];
+        r.advance(3);
     }
 
     #[test]
